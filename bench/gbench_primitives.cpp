@@ -1,13 +1,16 @@
 // Microbenchmarks of the primitives the paper's design rests on: L2
 // atomics vs mutexes, the L2-atomic ticket mutex vs std::mutex, matcher
 // throughput, topology memory/lookup costs, and the obs telemetry
-// primitives (whose per-event cost bounds the tracer's intrusiveness).
+// primitives (whose per-event cost bounds the tracer's intrusiveness), plus
+// the per-release and per-packet costs of the pooled MU fast path.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/buffer_pool.h"
@@ -17,6 +20,7 @@
 #include "core/topology.h"
 #include "core/work_queue.h"
 #include "hw/l2_atomics.h"
+#include "hw/mu.h"
 #include "mpi/matching.h"
 #include "obs/clock.h"
 #include "obs/pvar.h"
@@ -258,6 +262,94 @@ void BM_BufferPool_AcquireRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BufferPool_AcquireRelease)->Arg(64)->Arg(512)->Arg(8192);
+
+void BM_BufferPool_CrossThreadRelease(benchmark::State& state) {
+  // The owner acquires; a second thread releases every block (the packet
+  // consumer's side of MU staging), so each item is one cross-thread
+  // release — one CAS onto the reclaim stack — plus the owner's share of
+  // an exchange-drain. A bounded ring hands the blocks over; both sides
+  // yield while they wait, since a fresh thread often starts on its
+  // spinning parent's CPU and would otherwise wait for the load balancer.
+  obs::PvarSet pvars;
+  core::BufferPool pool(&pvars);
+  constexpr std::size_t kRing = 256;
+  std::vector<core::Buf> ring(kRing);
+  std::atomic<std::uint64_t> head{0};  // next slot the releaser takes
+  std::atomic<std::uint64_t> tail{0};  // next slot the owner fills
+  std::atomic<bool> stop{false};
+  std::thread releaser([&] {
+    std::uint64_t h = 0;
+    for (;;) {
+      const std::uint64_t t = tail.load(std::memory_order_acquire);
+      if (h == t) {
+        if (stop.load(std::memory_order_acquire) && h == tail.load(std::memory_order_acquire)) {
+          break;
+        }
+        std::this_thread::yield();
+        continue;
+      }
+      for (; h < t; ++h) {
+        benchmark::DoNotOptimize(ring[h % kRing].data());
+        ring[h % kRing].reset();
+      }
+      head.store(h, std::memory_order_release);
+    }
+  });
+  std::uint64_t t = 0;
+  for (auto _ : state) {
+    while (t - head.load(std::memory_order_acquire) >= kRing) std::this_thread::yield();
+    ring[t % kRing] = pool.acquire(512);
+    tail.store(++t, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_release);
+  releaser.join();
+  const obs::PvarSnapshot s = pvars.snapshot();
+  state.counters["pool_hits"] = static_cast<double>(s[obs::Pvar::AllocPoolHits]);
+  state.counters["pool_misses"] = static_cast<double>(s[obs::Pvar::AllocPoolMisses]);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BufferPool_CrossThreadRelease)->UseRealTime();
+
+/// Routes every burst straight into its destination MU, like the
+/// functional network without the machine around it.
+class DirectPort final : public hw::NetworkPort {
+ public:
+  hw::MessagingUnit* dest = nullptr;
+  std::size_t transmit(hw::MuPacket* pkts, std::size_t n) override {
+    return dest->receive(pkts, n);
+  }
+};
+
+void BM_MuInject(benchmark::State& state) {
+  // One memory-FIFO descriptor of `packets` full packets per iteration:
+  // framing, payload staging, one transmit burst per 16 packets, the
+  // reception FIFO append and the consumer's batched poll. Items are
+  // packets, so the per-packet cost of each descriptor size shows.
+  const auto packets = static_cast<std::size_t>(state.range(0));
+  DirectPort port;
+  hw::MessagingUnit src(0, &port, nullptr);
+  hw::MessagingUnit dst(1, &port, nullptr);
+  port.dest = &dst;
+  std::vector<std::byte> payload(packets * hw::kMaxPacketPayload, std::byte{0x42});
+  std::vector<hw::MuPacket> drained(hw::kMuBurstPackets);
+  auto one = [&] {
+    hw::MuDescriptor d;
+    d.type = hw::MuPacketType::MemoryFifo;
+    d.dest_node = 1;
+    d.payload = payload.data();
+    d.payload_bytes = payload.size();
+    src.inj_fifo(0).push(std::move(d));
+    src.advance_injection(0);
+    while (dst.rec_fifo(0).poll_batch(drained.data(), drained.size()) > 0) {
+      benchmark::DoNotOptimize(drained.data());
+    }
+  };
+  for (int i = 0; i < 16; ++i) one();  // warm-up: FIFO rings and pools settle
+  for (auto _ : state) one();
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(packets));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_MuInject)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_HeapVector_AcquireRelease(benchmark::State& state) {
   // What the staging path used to do: a fresh heap vector per packet.

@@ -555,7 +555,7 @@ std::uint32_t Engine::alloc_call(ReplyFn fn) {
   CallSlot& s = calls_[idx];
   s.fn = std::move(fn);
   s.in_use = true;
-  ++calls_live_;
+  add_calls_live(1);
   return ((idx + 1) << 16) | s.gen;
 }
 
@@ -566,7 +566,7 @@ void Engine::free_call(std::uint32_t id) {
   s.in_use = false;
   ++s.gen;
   call_free_.push_back(idx);
-  --calls_live_;
+  add_calls_live(-1);
 }
 
 void Engine::complete_call(std::uint32_t id, pami::Result status, const void* data,
@@ -581,7 +581,7 @@ void Engine::complete_call(std::uint32_t id, pami::Result status, const void* da
   calls_[idx].in_use = false;
   ++calls_[idx].gen;
   call_free_.push_back(idx);
-  --calls_live_;
+  add_calls_live(-1);
   if (fn) fn(status, data, bytes);
 }
 
@@ -657,14 +657,15 @@ std::size_t Engine::poll() {
     }
     ctl_list_.resize(w);
   }
+  publish_listed();
   return events;
 }
 
-bool Engine::idle() const {
-  return parked_list_.empty() && agg_list_.empty() && ctl_list_.empty();
-}
+bool Engine::idle() const { return listed_.load(std::memory_order_relaxed) == 0; }
 
-bool Engine::has_pending_state() const { return !idle() || calls_live_ > 0; }
+bool Engine::has_pending_state() const {
+  return !idle() || calls_live_.load(std::memory_order_relaxed) > 0;
+}
 
 std::size_t Engine::parked_sends() const {
   std::size_t n = 0;
@@ -672,7 +673,7 @@ std::size_t Engine::parked_sends() const {
   return n;
 }
 
-bool Engine::quiescent() const { return idle() && calls_live_ == 0; }
+bool Engine::quiescent() const { return !has_pending_state(); }
 
 // -------------------------------------------------------------------- misc --
 

@@ -42,6 +42,7 @@
 // owns three reserved dispatch IDs near the top of the table.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -170,7 +171,7 @@ class Engine {
   std::uint32_t credits_available(pami::Endpoint peer) const {
     return peers_[peer_index(peer)].credits;
   }
-  std::size_t outstanding_calls() const { return calls_live_; }
+  std::size_t outstanding_calls() const { return calls_live_.load(std::memory_order_relaxed); }
   /// Sends parked across all per-peer FIFOs (credit- or order-blocked).
   std::size_t parked_sends() const;
   /// Nothing buffered, parked, pending or outstanding.
@@ -293,7 +294,17 @@ class Engine {
     if (!flag) {
       flag = true;
       list.push_back(static_cast<std::uint32_t>(idx));
+      publish_listed();
     }
+  }
+  /// Mirror the list sizes into `listed_` (advancing thread only).
+  void publish_listed() {
+    listed_.store(parked_list_.size() + agg_list_.size() + ctl_list_.size(),
+                  std::memory_order_relaxed);
+  }
+  void add_calls_live(std::ptrdiff_t d) {
+    calls_live_.store(calls_live_.load(std::memory_order_relaxed) + static_cast<std::size_t>(d),
+                      std::memory_order_relaxed);
   }
 
   pami::Context& ctx_;
@@ -316,7 +327,12 @@ class Engine {
 
   std::vector<CallSlot> calls_;
   std::vector<std::uint32_t> call_free_;
-  std::size_t calls_live_ = 0;
+
+  // Written only by the advancing thread; atomic so that idle() and
+  // has_pending_state() may read them from a commthread deciding whether
+  // to sleep (a stale read is a false negative the wakeup re-check closes).
+  std::atomic<std::size_t> listed_{0};  // entries across the three lists
+  std::atomic<std::size_t> calls_live_{0};
 
   AmDevice dev_;
 };

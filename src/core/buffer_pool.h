@@ -9,17 +9,20 @@
 //               it rides inside MuPacket/ShmPacket/MuDescriptor by value.
 //   * `BufferPool` — per-owner freelists over a fixed set of size classes.
 //     Acquire is owner-thread-only (single consumer, zero atomics on the
-//     hit path); release may happen on ANY thread and pushes the block
-//     onto a reclaim list guarded by an L2AtomicMutex, matching the
-//     paper's "lockless on the critical path, L2-mutex on the rare path"
-//     split.
+//     hit path); release may happen on ANY thread and is one CAS that
+//     pushes the block onto its class's reclaim stack. The owner takes a
+//     whole stack back with one `exchange`, so nothing ever pops a single
+//     node and the stack is ABA-free: lockless on the critical path, as
+//     the paper asks of the messaging fast path.
 //
 // Lifetime: blocks routinely outlive their pool (a packet delivered to a
 // peer node's reception FIFO survives the sender's teardown; tests tear
-// machines down with traffic in flight). Each block therefore carries a
-// shared_ptr to its pool's core: release() under the core mutex either
-// recycles the block (pool still open) or frees it to the heap (pool
-// gone). No destruction-order contract is imposed on callers.
+// machines down with traffic in flight). Each block therefore points at
+// its pool's core, which counts the blocks still alive. Pool teardown
+// swaps a `closed` sentinel into every reclaim stack; a release that sees
+// it frees the block to the heap, and whoever drops the core's last
+// reference (the pool or the last straggler block) deletes the core. No
+// destruction-order contract is imposed on callers.
 //
 // Counters: acquisitions served from a freelist count `alloc.pool_hits`;
 // freelist misses that had to allocate count `alloc.pool_misses`; requests
@@ -30,11 +33,10 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
 
-#include "hw/l2_atomics.h"
 #include "obs/pvar.h"
 
 namespace pamix::core {
@@ -51,16 +53,20 @@ namespace detail {
 
 struct BufBlock;
 
-/// The part of a pool that blocks can outlive: the cross-thread reclaim
-/// lists and the open/closed flag. Blocks hold a shared_ptr to this, so a
-/// release that arrives after the pool's destruction simply frees to heap.
+/// The part of a pool that blocks can outlive: one push-only reclaim stack
+/// per size class, and a reference count held by the pool itself and by
+/// every block it created. Whoever drops the last reference deletes it.
 struct PoolCore {
-  hw::L2AtomicMutex mu;
-  bool open = true;                      // guarded by mu
-  BufBlock* reclaim[kBufClassCount]{};   // guarded by mu
-  // Relaxed hint so the owner's acquire path can skip taking `mu` when
-  // nothing has been released cross-thread (the common case).
-  std::atomic<std::uint32_t> reclaim_count[kBufClassCount]{};
+  std::atomic<BufBlock*> reclaim[kBufClassCount]{};
+  std::atomic<std::size_t> refs{1};
+
+  /// Swapped into every reclaim stack at pool teardown. Misaligned, so it
+  /// can never equal a real block; never dereferenced.
+  static BufBlock* closed() { return reinterpret_cast<BufBlock*>(std::uintptr_t{1}); }
+
+  void unref() {
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+  }
 };
 
 /// Block header. Exactly one cache line; payload starts at offset 64 so
@@ -68,7 +74,7 @@ struct PoolCore {
 /// freelist link. `core == nullptr` marks a heap-fallback (oversize)
 /// block that is simply deleted on release.
 struct alignas(64) BufBlock {
-  std::shared_ptr<PoolCore> core;
+  PoolCore* core = nullptr;
   BufBlock* next = nullptr;
   std::uint32_t class_idx = 0;
   std::size_t capacity = 0;
@@ -78,47 +84,46 @@ struct alignas(64) BufBlock {
     return reinterpret_cast<const std::byte*>(this) + sizeof(BufBlock);
   }
 
-  static BufBlock* create(std::shared_ptr<PoolCore> core, std::uint32_t class_idx,
-                          std::size_t capacity) {
+  /// Called by the pool's owner, which holds a reference on `core`, so a
+  /// relaxed increment cannot race the count to zero.
+  static BufBlock* create(PoolCore* core, std::uint32_t class_idx, std::size_t capacity) {
     void* raw = ::operator new(sizeof(BufBlock) + capacity, std::align_val_t{64});
     auto* b = ::new (raw) BufBlock();
-    b->core = std::move(core);
+    b->core = core;
     b->class_idx = class_idx;
     b->capacity = capacity;
+    if (core != nullptr) core->refs.fetch_add(1, std::memory_order_relaxed);
     return b;
   }
 
   static void destroy(BufBlock* b) {
+    PoolCore* core = b->core;
     b->~BufBlock();
     ::operator delete(static_cast<void*>(b), std::align_val_t{64});
+    if (core != nullptr) core->unref();
   }
 };
 
 static_assert(sizeof(BufBlock) == 64, "block header must be exactly one cache line");
 
-/// Return a block to its pool (any thread) or to the heap.
+/// Return a block to its pool (any thread) or to the heap: one CAS onto
+/// the class's reclaim stack, or a heap free once the pool is closed.
 inline void release_block(BufBlock* b) {
   if (b == nullptr) return;
   if (b->core == nullptr) {
     BufBlock::destroy(b);
     return;
   }
-  // Move the shared_ptr out first: if the pool core's last reference is
-  // this block's, destroying the block inside the locked region would
-  // destroy the mutex we hold.
-  std::shared_ptr<PoolCore> core = std::move(b->core);
-  bool recycled = false;
-  {
-    std::lock_guard<hw::L2AtomicMutex> g(core->mu);
-    if (core->open) {
-      b->core = core;  // re-arm for the next acquire/release cycle
-      b->next = core->reclaim[b->class_idx];
-      core->reclaim[b->class_idx] = b;
-      core->reclaim_count[b->class_idx].fetch_add(1, std::memory_order_relaxed);
-      recycled = true;
+  std::atomic<BufBlock*>& head = b->core->reclaim[b->class_idx];
+  BufBlock* h = head.load(std::memory_order_relaxed);
+  do {
+    if (h == PoolCore::closed()) {
+      BufBlock::destroy(b);
+      return;
     }
-  }
-  if (!recycled) BufBlock::destroy(b);
+    b->next = h;
+  } while (!head.compare_exchange_weak(h, b, std::memory_order_release,
+                                       std::memory_order_relaxed));
 }
 
 }  // namespace detail
@@ -202,23 +207,18 @@ class Buf {
 class BufferPool {
  public:
   explicit BufferPool(obs::PvarSet* pvars = nullptr)
-      : core_(std::make_shared<detail::PoolCore>()), pvars_(pvars) {}
+      : core_(new detail::PoolCore), pvars_(pvars) {}
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
   ~BufferPool() {
-    for (std::size_t c = 0; c < kBufClassCount; ++c) free_list(free_[c]);
-    detail::BufBlock* orphans[kBufClassCount];
-    {
-      std::lock_guard<hw::L2AtomicMutex> g(core_->mu);
-      core_->open = false;
-      for (std::size_t c = 0; c < kBufClassCount; ++c) {
-        orphans[c] = core_->reclaim[c];
-        core_->reclaim[c] = nullptr;
-      }
+    for (std::size_t c = 0; c < kBufClassCount; ++c) {
+      free_list(free_[c]);
+      free_list(core_->reclaim[c].exchange(detail::PoolCore::closed(),
+                                           std::memory_order_acq_rel));
     }
-    for (std::size_t c = 0; c < kBufClassCount; ++c) free_list(orphans[c]);
+    core_->unref();
   }
 
   /// Acquire a buffer of logical size `n` (owner thread only). Sizes above
@@ -231,14 +231,7 @@ class BufferPool {
       return Buf::heap(n);
     }
     detail::BufBlock* b = free_[cls];
-    if (b == nullptr && core_->reclaim_count[cls].load(std::memory_order_relaxed) > 0) {
-      // Steal the whole cross-thread reclaim list in one lock acquisition.
-      std::lock_guard<hw::L2AtomicMutex> g(core_->mu);
-      free_[cls] = core_->reclaim[cls];
-      core_->reclaim[cls] = nullptr;
-      core_->reclaim_count[cls].store(0, std::memory_order_relaxed);
-      b = free_[cls];
-    }
+    if (b == nullptr) b = take_reclaimed(cls);
     if (b != nullptr) {
       free_[cls] = b->next;
       b->next = nullptr;
@@ -246,10 +239,16 @@ class BufferPool {
       return Buf(b, n);
     }
     count(obs::Pvar::AllocPoolMisses);
+    ++misses_;
+    ++owned_[cls];
     return Buf(detail::BufBlock::create(core_, static_cast<std::uint32_t>(cls),
                                         kBufClassSizes[cls]),
                n);
   }
+
+  /// Acquires that had to allocate since construction, counted even when
+  /// no PvarSet is bound. Owner-thread state: read it at quiescence.
+  std::uint64_t misses() const { return misses_; }
 
   /// Acquire + copy in one step.
   Buf acquire_copy(const void* src, std::size_t n) {
@@ -258,30 +257,17 @@ class BufferPool {
     return b;
   }
 
-  /// Pre-size the freelist so `count` concurrent `n`-byte acquires cannot
-  /// miss (owner thread only). Cross-thread returns are folded in first
-  /// and blocks already free count toward the target, so repeat calls
-  /// converge instead of growing the pool. Pre-sized blocks are counted
-  /// as neither hits nor misses: a miss means demand the owner did not
-  /// predict, which is exactly what reserving rules out.
+  /// Grow `n`'s size class until the pool owns at least `count` blocks
+  /// of it, free or in use (owner thread only): then `count` acquires
+  /// outstanding at once cannot miss, however late their releases come
+  /// back, and repeat calls are free. Reserved blocks count as neither
+  /// hits nor misses: a miss means demand the owner did not predict,
+  /// which is exactly what reserving rules out.
   void reserve(std::size_t n, std::size_t count) {
     if (n == 0) return;
     const std::size_t cls = class_for(n);
     if (cls == kBufClassCount) return;  // oversize requests never pool
-    if (core_->reclaim_count[cls].load(std::memory_order_relaxed) > 0) {
-      std::lock_guard<hw::L2AtomicMutex> g(core_->mu);
-      detail::BufBlock* tail = core_->reclaim[cls];
-      if (tail != nullptr) {
-        while (tail->next != nullptr) tail = tail->next;
-        tail->next = free_[cls];
-        free_[cls] = core_->reclaim[cls];
-        core_->reclaim[cls] = nullptr;
-        core_->reclaim_count[cls].store(0, std::memory_order_relaxed);
-      }
-    }
-    std::size_t have = 0;
-    for (detail::BufBlock* b = free_[cls]; b != nullptr && have < count; b = b->next) ++have;
-    for (; have < count; ++have) {
+    for (; owned_[cls] < count; ++owned_[cls]) {
       detail::BufBlock* b =
           detail::BufBlock::create(core_, static_cast<std::uint32_t>(cls),
                                    kBufClassSizes[cls]);
@@ -302,6 +288,14 @@ class BufferPool {
     if (pvars_ != nullptr) pvars_->add(p);
   }
 
+  /// Take every block released since the last call in one exchange. The
+  /// relaxed peek keeps the common nothing-to-take case free of RMWs.
+  detail::BufBlock* take_reclaimed(std::size_t cls) {
+    std::atomic<detail::BufBlock*>& head = core_->reclaim[cls];
+    if (head.load(std::memory_order_relaxed) == nullptr) return nullptr;
+    return head.exchange(nullptr, std::memory_order_acquire);
+  }
+
   static void free_list(detail::BufBlock* b) {
     while (b != nullptr) {
       detail::BufBlock* next = b->next;
@@ -310,9 +304,11 @@ class BufferPool {
     }
   }
 
-  std::shared_ptr<detail::PoolCore> core_;
+  detail::PoolCore* core_;
   obs::PvarSet* pvars_;
   detail::BufBlock* free_[kBufClassCount]{};  // owner-thread private freelists
+  std::size_t owned_[kBufClassCount]{};       // blocks created per class
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace pamix::core

@@ -946,6 +946,7 @@ void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void*
       std::uint64_t inflight = 0;  // forwarded-but-unacked chunks, all colors
       int remaining = 0;
       std::size_t off = 0;
+      std::size_t tree_links = 0;  // (color, parent or child) pairs of this master
       for (int c = 0; c < ncolors; ++c) {
         CollState::RectColor& rc = st.rect[static_cast<std::size_t>(c)];
         rc.off = off;
@@ -966,7 +967,30 @@ void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void*
                                       ? kids->second.size()
                                       : 0;
         rc.acked.assign(nkids, 0);  // reuses capacity after the first call
+        tree_links += nkids + (rc.parent_rank >= 0 ? 1 : 0);
         ++remaining;
+      }
+      // The same window bounds this master's own sends: chunks down to
+      // each child, acks (a header, no data) up to each parent. A parent
+      // starts the next broadcast only after every ack of this one, and at
+      // most W chunks per (color, child) are unacked. A receiver's MU
+      // device releases a packet's staging at its first poll after
+      // dispatching it, so the packets of its last batch — at most as many
+      // again — may still hold theirs. Reserve that in every FIFO a tree
+      // neighbour is reached through.
+      const std::size_t staged = 2 * tree_links * kRectWindowChunks;
+      for (int c = 0; c < ncolors; ++c) {
+        const CollState::RectColor& rc = st.rect[static_cast<std::size_t>(c)];
+        if (rc.parent_rank >= 0) {
+          ctx.reserve_sends(Endpoint{g.task_of(static_cast<std::size_t>(rc.parent_rank)), 0},
+                            sizeof(CollHeader), 0, staged);
+        }
+        const auto kit = rt->children[static_cast<std::size_t>(c)].find(my_node);
+        if (kit == rt->children[static_cast<std::size_t>(c)].end()) continue;
+        for (const RectTrees::Kid& kid : kit->second) {
+          ctx.reserve_sends(Endpoint{g.node_group(kid.node).master_task, 0}, sizeof(CollHeader),
+                            C, staged);
+        }
       }
       ProgressSpin spin(ctx);
       while (remaining > 0) {

@@ -97,6 +97,16 @@ class Context {
   /// buffers (telemetry + tests).
   core::BufferPool& stage_pool() { return engine_->stage_pool(); }
 
+  /// Pre-size the MU staging behind sends to `dest` so that `count` sends
+  /// of this shape, injected but not yet consumed by the receiver, never
+  /// allocate. A protocol that bounds its own messages in flight (an ack
+  /// window) calls this to make its steady state allocation-free however
+  /// the receiver is scheduled. Same threading rule as send().
+  void reserve_sends(Endpoint dest, std::size_t header_bytes, std::size_t data_bytes,
+                     std::size_t count) {
+    engine_->reserve_sends(dest, header_bytes, data_bytes, count);
+  }
+
   /// Register / unregister an auxiliary progress device (e.g. the
   /// active-message layer's AmDevice) polled after the built-in five.
   /// Caller keeps ownership; must unregister before destroying the device.

@@ -22,6 +22,7 @@
 // so that successive sends to the same peer stay ordered (MPI ordering).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -55,6 +56,12 @@ inline constexpr int kRecFifoCount = kMuCores * kRecFifosPerCore;  // 272
 inline constexpr std::size_t kPacketHeaderBytes = 32;
 inline constexpr std::size_t kMaxPacketPayload = 512;
 inline constexpr std::size_t kPayloadGranule = 32;
+
+/// Packets the message engine cuts from one descriptor and hands to the
+/// network in one call. Transport, reception FIFO, counters and wakeup
+/// synchronize once per burst, not once per packet — the software stand-in
+/// for the hardware doing per-packet work without host synchronization.
+inline constexpr std::size_t kMuBurstPackets = 16;
 
 enum class MuPacketType : std::uint8_t {
   MemoryFifo,
@@ -226,7 +233,8 @@ class InjFifo {
 
 /// A reception FIFO: packets delivered by the network, polled by the owning
 /// context. The network side may be fed by many remote nodes concurrently;
-/// the hardware serializes those appends, modelled by a short mutex.
+/// the hardware serializes those appends, modelled by a short mutex taken
+/// once per delivered burst.
 ///
 /// Storage is a fixed ring (allocated lazily on first delivery — most of a
 /// node's 272 FIFOs are never used) with a deque spillover beyond the ring,
@@ -238,20 +246,25 @@ class RecFifo {
  public:
   explicit RecFifo(std::size_t capacity_packets = 4096) : capacity_(capacity_packets) {}
 
-  /// Network-side append. Returns false when the FIFO is full, which on the
-  /// real machine backpressures the torus; callers must retry.
-  bool deliver(MuPacket&& pkt) {
+  /// Network-side append of a burst, under one lock. Returns how many
+  /// packets (a prefix of `pkts`) were taken; the rest are left intact
+  /// because the FIFO is full, which on the real machine backpressures the
+  /// torus — callers retry them.
+  std::size_t deliver(MuPacket* pkts, std::size_t n) {
     std::lock_guard<std::mutex> g(mu_);
-    if (size_locked() >= capacity_) return false;
+    const std::size_t take = std::min(n, capacity_ - size_locked());
+    if (take == 0) return 0;
     if (ring_.empty()) ring_.resize(std::min(capacity_, kRingSlots));
-    if (!overflow_.empty() || tail_ - head_ == ring_.size()) {
-      overflow_.push_back(std::move(pkt));
-    } else {
-      ring_[tail_ % ring_.size()] = std::move(pkt);
-      ++tail_;
+    for (std::size_t i = 0; i < take; ++i) {
+      if (!overflow_.empty() || tail_ - head_ == ring_.size()) {
+        overflow_.push_back(std::move(pkts[i]));
+      } else {
+        ring_[tail_ % ring_.size()] = std::move(pkts[i]);
+        ++tail_;
+      }
     }
-    delivered_.fetch_add(1, std::memory_order_release);
-    return true;
+    delivered_.fetch_add(take, std::memory_order_release);
+    return take;
   }
 
   /// Consumer-side batched poll: move up to `max` packets into `out`.
@@ -306,9 +319,12 @@ class RecFifo {
 class NetworkPort {
  public:
   virtual ~NetworkPort() = default;
-  /// Transport one packet to its destination node. Returns false if the
-  /// destination cannot accept it right now (backpressure).
-  virtual bool transmit(MuPacket&& pkt) = 0;
+  /// Transport a burst of at most kMuBurstPackets packets cut from one
+  /// descriptor (one type, destination, reception FIFO and counter) to its
+  /// destination node. Returns how many, a prefix of `pkts`, were
+  /// accepted; the rest stay intact for the sender to retry
+  /// (backpressure). A single packet is a burst of one.
+  virtual std::size_t transmit(MuPacket* pkts, std::size_t n) = 0;
 };
 
 /// The per-node messaging unit: FIFO arrays, context partitioning, and the
@@ -338,18 +354,35 @@ class MessagingUnit {
   /// Single-FIFO variant for the send fast path (no container built).
   int advance_injection(int fifo_idx);
 
-  /// Network-side delivery entry point: dispatch a packet by type.
-  /// Returns false on backpressure (memory FIFO full).
-  bool receive(MuPacket&& pkt);
+  /// Network-side delivery entry point: dispatch a burst cut from one
+  /// descriptor by its type, with one FIFO lock, one counter update and
+  /// one wakeup notify. Returns how many packets (a prefix) were accepted;
+  /// fewer than `n` means backpressure (memory FIFO full).
+  std::size_t receive(MuPacket* pkts, std::size_t n);
 
   /// Total packets received by type, for tests and stats.
   std::uint64_t packets_received(MuPacketType t) const {
     return rx_count_[static_cast<std::size_t>(t)].load(std::memory_order_relaxed);
   }
 
-  /// Inject a single descriptor directly, bypassing the FIFO (unit tests
-  /// and single-shot paths). Assumes no backpressure.
+  /// Inject a single descriptor directly, bypassing the FIFO (remote-get
+  /// servicing). Assumes no backpressure.
   bool inject_one(MuDescriptor& desc);
+
+  /// Pre-size injection FIFO `fifo_idx`'s staging pool so that `count`
+  /// messages of `bytes` each can be in flight at once without a miss
+  /// (owner context only, like injection itself).
+  void reserve_staging(int fifo_idx, std::size_t bytes, std::size_t count);
+
+  /// Misses (acquires that had to allocate) of the injection staging
+  /// pools since construction. Read from the thread that owns every
+  /// allocated injection FIFO, or at quiescence.
+  std::uint64_t staging_pool_misses() const;
+  /// Misses of the remote-get service pool since construction (any thread).
+  std::uint64_t service_pool_misses() {
+    std::lock_guard<L2AtomicMutex> g(svc_mu_);
+    return svc_pool_.misses();
+  }
 
   /// This node's MU telemetry domain (packet counters; no trace ring —
   /// the MU is driven concurrently from many threads).
@@ -386,7 +419,7 @@ class MessagingUnit {
   // one context, so its pool is single-consumer and allocated lazily on
   // first use (most of the 544 FIFOs are never touched). Remote-get
   // servicing runs on arbitrary sender threads, so it stages from a
-  // shared pool serialized by an L2-atomic mutex.
+  // shared pool serialized by an L2-atomic mutex, taken once per burst.
   std::vector<std::unique_ptr<core::BufferPool>> inj_pools_;
   core::BufferPool svc_pool_;
   L2AtomicMutex svc_mu_;

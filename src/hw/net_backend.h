@@ -1,14 +1,15 @@
 // NetBackend — the pluggable byte-moving transport contract.
 //
-// `hw::NetworkPort` is the minimal MU-facing surface (transmit one packet).
-// A *backend* is a full transport implementation behind it: it owns the
-// delivery/time contract the rest of the stack used to assume implicitly.
+// `hw::NetworkPort` is the minimal MU-facing surface (transmit a burst of
+// packets). A *backend* is a full transport implementation behind it: it
+// owns the delivery/time contract the rest of the stack used to assume
+// implicitly.
 // Two implementations exist:
 //
-//   * runtime::FunctionalNetwork — untimed: transmit() routes the packet to
+//   * runtime::FunctionalNetwork — untimed: transmit() routes the burst to
 //     the destination MU synchronously (the host memory system is the
 //     wire). progress() is a no-op and the virtual clock never moves.
-//   * runtime::DesNetwork — timed: transmit() schedules the packet through
+//   * runtime::DesNetwork — timed: transmit() schedules each packet through
 //     sim::DesTorus-style per-link contention with the BG/Q cost model;
 //     delivery happens when the discrete-event clock reaches the packet's
 //     arrival. The proto::ProgressEngine pumps progress() every advance, so

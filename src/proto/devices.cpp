@@ -28,6 +28,7 @@ std::size_t ControlDevice::poll() {
     pending_.pop_front();
     ++sent;
   }
+  parked_.store(pending_.size(), std::memory_order_relaxed);
   return sent;
 }
 
@@ -42,6 +43,11 @@ std::size_t MuDevice::poll() {
   // leaves the packets to the still-running outer drain.
   if (polling_) return events;
   polling_ = true;
+  // Release the previous batch's payloads only now, off the path from
+  // dispatch to the reply it triggers; left in the scratch slots they
+  // would pin the senders' staging blocks until a batch as large reused
+  // the slot.
+  for (std::size_t i = 0; i < held_; ++i) batch_[i].payload.reset();
   // Batched reception: one FIFO lock acquisition pulls up to batch_.size()
   // packets into the reusable scratch array, then dispatch runs outside
   // the FIFO structures.
@@ -49,6 +55,7 @@ std::size_t MuDevice::poll() {
   for (std::size_t i = 0; i < rx; ++i) {
     engine_.on_mu_packet(std::move(batch_[i]));
   }
+  held_ = rx;
   polling_ = false;
   if (rx > 0) obs_.pvars.add(obs::Pvar::PacketsReceived, rx);
   return events + rx;
@@ -66,6 +73,7 @@ std::size_t CounterDevice::poll() {
       pami::EventFn then = std::move(pending_[i].then);
       free_.push_back(std::move(pending_[i].counter));  // recycle, don't free
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+      outstanding_.store(pending_.size(), std::memory_order_relaxed);
       if (fn) fn();
       if (then) then();
       ++fired;

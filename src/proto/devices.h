@@ -14,6 +14,7 @@
 //                     counters are outstanding to keep commthreads awake
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -57,16 +58,20 @@ class ControlDevice final : public Device {
 
   const char* name() const override { return "control"; }
   std::size_t poll() override;
-  bool idle() const override { return pending_.empty(); }
-  bool has_pending_state() const override { return !pending_.empty(); }
+  bool idle() const override { return parked_.load(std::memory_order_relaxed) == 0; }
+  bool has_pending_state() const override { return !idle(); }
 
   void park(int dest_node, hw::MuDescriptor desc) {
     pending_.emplace_back(dest_node, std::move(desc));
+    parked_.store(pending_.size(), std::memory_order_relaxed);
   }
 
  private:
   ProgressEngine& engine_;
   std::deque<std::pair<int, hw::MuDescriptor>> pending_;
+  // pending_.size(), mirrored for the concurrent predicates: only the
+  // advancing thread touches the deque itself.
+  std::atomic<std::size_t> parked_{0};
 };
 
 /// The MU device: advances the message engines over this context's
@@ -107,6 +112,9 @@ class MuDevice final : public Device {
   std::vector<hw::MuPacket> batch_;
   // True while poll() iterates batch_; a re-entrant poll must not reuse it.
   bool polling_ = false;
+  // Slots of batch_ the last poll filled; handlers take packets by
+  // reference, so their payloads stay there until the next poll.
+  std::size_t held_ = 0;
 };
 
 /// This context's slice of the process's shared-memory device.
@@ -132,10 +140,15 @@ class ShmQueueDevice final : public Device {
 /// outstanding, keeping commthreads out of the wakeup sleep.
 class CounterDevice final : public Device {
  public:
+  /// `pass_pulls`: the most counters one advance pass can put in flight —
+  /// one per packet the MU device drains (config.mu_batch), since each
+  /// received RTS starts one pull.
+  explicit CounterDevice(std::size_t pass_pulls) : pass_pulls_(pass_pulls) {}
+
   const char* name() const override { return "counters"; }
   std::size_t poll() override;
-  bool idle() const override { return pending_.empty(); }
-  bool has_pending_state() const override { return !pending_.empty(); }
+  bool idle() const override { return outstanding_.load(std::memory_order_relaxed) == 0; }
+  bool has_pending_state() const override { return !idle(); }
 
   /// Fire `on_done`, then `then`, when the counter drains. Two slots so
   /// callers can chain a user callback and a protocol completion step
@@ -143,13 +156,23 @@ class CounterDevice final : public Device {
   void watch(std::unique_ptr<hw::MuReceptionCounter> counter, pami::EventFn on_done,
              pami::EventFn then = pami::EventFn{}) {
     pending_.push_back(Pending{std::move(counter), std::move(on_done), std::move(then)});
+    outstanding_.store(pending_.size(), std::memory_order_relaxed);
   }
 
   /// Pooled counter acquire: drained counters recycle through this device
   /// (the completion point), so steady-state RDMA pulls never allocate.
-  /// Callers re-prime before use.
+  /// Stock grows a whole pass at a time, so a receiver that drains a full
+  /// batch of RTS packets at once — however late it was scheduled — finds
+  /// counters and pending slots ready. Callers re-prime before use.
   std::unique_ptr<hw::MuReceptionCounter> acquire() {
-    if (free_.empty()) return std::make_unique<hw::MuReceptionCounter>();
+    if (free_.empty()) {
+      created_ += pass_pulls_;
+      free_.reserve(created_);
+      pending_.reserve(created_);
+      for (std::size_t i = 0; i < pass_pulls_; ++i) {
+        free_.push_back(std::make_unique<hw::MuReceptionCounter>());
+      }
+    }
     auto c = std::move(free_.back());
     free_.pop_back();
     return c;
@@ -167,6 +190,11 @@ class CounterDevice final : public Device {
   };
   std::vector<Pending> pending_;
   std::vector<std::unique_ptr<hw::MuReceptionCounter>> free_;
+  std::size_t pass_pulls_;
+  std::size_t created_ = 0;  // counters acquire() has made
+  // pending_.size(), mirrored for the concurrent predicates: only the
+  // advancing thread touches the vector itself.
+  std::atomic<std::size_t> outstanding_{0};
 };
 
 }  // namespace pamix::proto

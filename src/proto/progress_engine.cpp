@@ -1,5 +1,6 @@
 #include "proto/progress_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -95,7 +96,8 @@ ProgressEngine::ProgressEngine(pami::Context& ctx, pami::Client& client, int off
   mu_dev_ = std::make_unique<MuDevice>(*this, mu, inj_fifos_, rec_fifo_, obs_, cfg.mu_batch);
   shm_dev_ = std::make_unique<ShmQueueDevice>(*this, client_.shm_device(),
                                               static_cast<std::int16_t>(offset_));
-  counter_dev_ = std::make_unique<CounterDevice>();
+  counter_dev_ =
+      std::make_unique<CounterDevice>(static_cast<std::size_t>(std::max(cfg.mu_batch, 1)));
   // Drain order: posted work first (it may inject), then parked control
   // packets (before new sends compete for FIFO space), then the MU
   // engines and reception, the shm slice, and finally RDMA completions.
@@ -198,6 +200,16 @@ pami::Result ProgressEngine::send(pami::SendParams& params) {
   }
   if (r == pami::Result::Eagain) obs_.pvars.add(obs::Pvar::SendEagain);
   return r;
+}
+
+void ProgressEngine::reserve_sends(pami::Endpoint dest, std::size_t header_bytes,
+                                   std::size_t data_bytes, std::size_t count) {
+  const int dest_node = machine_.node_of_task(dest.task);
+  if (dest_node == machine_.node_of_task(client_.task())) return;
+  // The stream send() would stage: eager carries the data, rendezvous an RTS.
+  const std::size_t stream =
+      header_bytes + (data_bytes <= config().eager_limit ? data_bytes : sizeof(RtsInfo));
+  client_.node().mu().reserve_staging(inj_fifo_for(dest_node), stream, count);
 }
 
 // -------------------------------------------------------------- one-sided --

@@ -155,6 +155,11 @@ class ProgressEngine {
     return dispatch_[static_cast<std::size_t>(id)];
   }
 
+  /// See pami::Context::reserve_sends. Intra-node sends stage nothing in
+  /// the MU.
+  void reserve_sends(pami::Endpoint dest, std::size_t header_bytes, std::size_t data_bytes,
+                     std::size_t count);
+
   /// Static per-destination FIFO pinning: all traffic to one node uses one
   /// FIFO, which with deterministic routing preserves ordering (§III-E).
   int inj_fifo_for(int dest_node) const;

@@ -33,23 +33,27 @@ DesNetwork::DesNetwork(Machine* machine, Options opt)
   }
 }
 
-bool DesNetwork::transmit(hw::MuPacket&& pkt) {
+std::size_t DesNetwork::transmit(hw::MuPacket* pkts, std::size_t n) {
   std::lock_guard<std::recursive_mutex> g(mu_);
-  auto f = std::make_shared<Flight>();
-  f->pkt = std::move(pkt);
-  f->payload = f->pkt.payload.size();
-  f->route = sim::torus_route(machine_->geometry(), f->pkt.src_node, f->pkt.dest_node,
-                              f->pkt.routing, packet_seq_++, f->pkt.hints);
-  const sim::SimTime t = events_.now() + opt_.model.mu_injection_us;
-  if (f->route.empty()) {
-    // Self-send: loops back through the MU without touching the torus.
-    const int dest = f->pkt.dest_node;
-    auto pp = std::make_shared<hw::MuPacket>(std::move(f->pkt));
-    schedule_delivery(t + opt_.model.mu_reception_us, std::move(pp), dest);
-    return true;
+  // Packet by packet: each one takes its own route sequence number and
+  // link slots, so virtual times do not depend on how packets are burst.
+  for (std::size_t i = 0; i < n; ++i) {
+    auto f = std::make_shared<Flight>();
+    f->pkt = std::move(pkts[i]);
+    f->payload = f->pkt.payload.size();
+    f->route = sim::torus_route(machine_->geometry(), f->pkt.src_node, f->pkt.dest_node,
+                                f->pkt.routing, packet_seq_++, f->pkt.hints);
+    const sim::SimTime t = events_.now() + opt_.model.mu_injection_us;
+    if (f->route.empty()) {
+      // Self-send: loops back through the MU without touching the torus.
+      const int dest = f->pkt.dest_node;
+      auto pp = std::make_shared<hw::MuPacket>(std::move(f->pkt));
+      schedule_delivery(t + opt_.model.mu_reception_us, std::move(pp), dest);
+      continue;
+    }
+    events_.schedule_at(t, [this, f] { step_flight(f); });
   }
-  events_.schedule_at(t, [this, f] { step_flight(f); });
-  return true;
+  return n;
 }
 
 void DesNetwork::step_flight(const std::shared_ptr<Flight>& f) {
@@ -93,7 +97,7 @@ void DesNetwork::schedule_delivery(sim::SimTime t, std::shared_ptr<hw::MuPacket>
 
 bool DesNetwork::deliver_now(hw::MuPacket&& pkt, int node) {
   const std::size_t payload = pkt.payload.size();
-  if (!machine_->node(node).mu().receive(std::move(pkt))) return false;
+  if (machine_->node(node).mu().receive(&pkt, 1) == 0) return false;
   packets_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(payload, std::memory_order_relaxed);
   obs_.pvars.add(obs::Pvar::SimPackets);

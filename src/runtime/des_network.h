@@ -67,7 +67,7 @@ class DesNetwork final : public hw::NetBackend {
   DesNetwork(Machine* machine, Options opt);
 
   // --- hw::NetBackend -------------------------------------------------------
-  bool transmit(hw::MuPacket&& pkt) override;
+  std::size_t transmit(hw::MuPacket* pkts, std::size_t n) override;
   const char* name() const override { return "des"; }
   bool timed() const override { return true; }
   std::size_t progress() override;

@@ -3,7 +3,8 @@
 // Where the DES torus (sim/) models *when* packets arrive, this transport
 // actually delivers them: a packet handed to `transmit` is routed to the
 // destination node's MessagingUnit immediately (the host memory system is
-// the wire).  Ordering matches the deterministic-routing guarantee PAMI
+// the wire), one burst per call: one reception-FIFO lock, one set of
+// counter adds and one wakeup notify per burst.  Ordering matches the deterministic-routing guarantee PAMI
 // relies on: packets from one injection FIFO to one destination arrive in
 // injection order, because the sending MU engine drains its FIFO in order
 // and delivery is synchronous.
@@ -28,7 +29,7 @@ class FunctionalNetwork final : public hw::NetBackend {
  public:
   explicit FunctionalNetwork(Machine* machine) : machine_(machine) {}
 
-  bool transmit(hw::MuPacket&& pkt) override;
+  std::size_t transmit(hw::MuPacket* pkts, std::size_t n) override;
   const char* name() const override { return "functional"; }
 
   std::uint64_t packets_delivered() const override {

@@ -8,36 +8,45 @@
 
 namespace pamix::runtime {
 
-bool FunctionalNetwork::transmit(hw::MuPacket&& pkt) {
-  const std::size_t payload = pkt.payload.size();
-  if (pkt.deposit) {
+std::size_t FunctionalNetwork::transmit(hw::MuPacket* pkts, std::size_t n) {
+  if (n == 0) return 0;
+  if (pkts[0].deposit) {
     // Deposit-bit line broadcast: the packet is consumed by every node the
     // deterministic route passes through, as well as the final
     // destination. (The hardware restricts this to single-dimension
     // routes; memory-FIFO deposits land in the same FIFO id per node.)
+    // A deposited direct-put writes the same offset in each node's
+    // (process-local) destination; our single-address-space model keeps
+    // one target, so deposit is only meaningful for memory-FIFO packets.
     std::vector<int> hops;
     machine_->geometry().for_each_route_link(
-        pkt.src_node, pkt.dest_node, [&](const hw::TorusLink& l) {
-          const int next = machine_->geometry().neighbor(l.node, l.dim, l.dir);
-          hops.push_back(next);
+        pkts[0].src_node, pkts[0].dest_node, [&](const hw::TorusLink& l) {
+          hops.push_back(machine_->geometry().neighbor(l.node, l.dim, l.dir));
         });
-    bool ok = true;
-    for (int node : hops) {
-      hw::MuPacket copy = pkt.clone();
-      // A deposited direct-put writes the same offset in each node's
-      // (process-local) destination; our single-address-space model keeps
-      // one target, so deposit is only meaningful for memory-FIFO packets.
-      ok = machine_->node(node).mu().receive(std::move(copy)) && ok;
-      packets_.fetch_add(1, std::memory_order_relaxed);
-      bytes_.fetch_add(payload, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t payload = pkts[i].payload.size();
+      bool ok = true;
+      for (std::size_t h = 0; h < hops.size(); ++h) {
+        hw::MuPacket copy = pkts[i].clone();
+        ok = machine_->node(hops[h]).mu().receive(&copy, 1) == 1 && ok;
+      }
+      packets_.fetch_add(hops.size(), std::memory_order_relaxed);
+      bytes_.fetch_add(hops.size() * payload, std::memory_order_relaxed);
+      if (!ok) return i;
+      pkts[i].payload.reset();
     }
-    return ok;
+    return n;
   }
-  Node& dest = machine_->node(pkt.dest_node);
-  if (!dest.mu().receive(std::move(pkt))) return false;
-  packets_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(payload, std::memory_order_relaxed);
-  return true;
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < n; ++i) bytes += pkts[i].payload.size();
+  const std::size_t accepted = machine_->node(pkts[0].dest_node).mu().receive(pkts, n);
+  // Rejected packets are left intact, so their sizes are still readable.
+  for (std::size_t i = accepted; i < n; ++i) bytes -= pkts[i].payload.size();
+  if (accepted > 0) {
+    packets_.fetch_add(accepted, std::memory_order_relaxed);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  return accepted;
 }
 
 Machine::Machine(hw::TorusGeometry geometry, int ppn, MachineOptions options)

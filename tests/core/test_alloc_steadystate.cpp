@@ -82,6 +82,21 @@ class AllocSteadyState : public ::testing::Test {
     ctx(1).advance();
   }
 
+  /// Misses of the pools on one task's send path — an allocation on a
+  /// measured path is almost always one of them growing past its warm-up
+  /// peak. Read from the task's own thread: with one context per task it
+  /// owns its node's injection FIFOs, and the service pool reads under
+  /// its lock.
+  struct PoolMisses {
+    std::uint64_t mu_staging = 0;
+    std::uint64_t mu_service = 0;
+    std::uint64_t ctx_stage = 0;
+  };
+  PoolMisses pool_misses(int task) {
+    hw::MessagingUnit& mu = machine_.node(machine_.node_of_task(task)).mu();
+    return {mu.staging_pool_misses(), mu.service_pool_misses(), ctx(task).stage_pool().misses()};
+  }
+
   runtime::Machine machine_;
   ClientWorld world_;
 };
@@ -166,6 +181,7 @@ TEST_F(AllocSteadyState, SoftwareCollectivesAreAllocationFree) {
   auto geom = world_.geometries().get_or_create(42, Topology::list({0, 1}));
   ASSERT_FALSE(geom->optimized());
   std::atomic<std::uint64_t> before{0}, after{0};
+  std::atomic<std::uint64_t> mu_staging{0}, mu_service{0}, ctx_stage{0};
   machine_.run_spmd([&](int task) {
     Context& cx = ctx(task);
     const auto rank = static_cast<double>(*geom->rank_of(task));
@@ -224,13 +240,20 @@ TEST_F(AllocSteadyState, SoftwareCollectivesAreAllocationFree) {
     pass();  // warm-up: pool + slot table fill
     pass();  // includes one pass->pass transition (its packet overlap
              // pattern differs from the burst-drain->pass boundary)
+    const PoolMisses m0 = pool_misses(task);
     if (task == 0) before.store(allocations());
     pass();  // measured
     if (task == 0) after.store(allocations());
+    const PoolMisses m1 = pool_misses(task);
+    mu_staging += m1.mu_staging - m0.mu_staging;
+    mu_service += m1.mu_service - m0.mu_service;
+    ctx_stage += m1.ctx_stage - m0.ctx_stage;
   });
   EXPECT_EQ(after.load() - before.load(), 0u)
       << "steady-state software collectives performed " << (after.load() - before.load())
-      << " global allocations over 64 iterations";
+      << " global allocations over 64 iterations (pool misses: MU staging "
+      << mu_staging.load() << ", MU service " << mu_service.load() << ", context stage "
+      << ctx_stage.load() << ")";
 }
 
 TEST_F(AllocSteadyState, RectangleBroadcastStreamingIsAllocationFree) {
@@ -249,6 +272,7 @@ TEST_F(AllocSteadyState, RectangleBroadcastStreamingIsAllocationFree) {
     const std::size_t saved = coll::tuning().rect_chunk;
     coll::tuning().rect_chunk = chunk;
     std::atomic<std::uint64_t> before{0}, after{0};
+    std::atomic<std::uint64_t> mu_staging{0}, mu_service{0}, ctx_stage{0};
     machine_.run_spmd([&](int task) {
       Context& cx = ctx(task);
       std::vector<std::uint8_t> buf(bytes);
@@ -267,14 +291,21 @@ TEST_F(AllocSteadyState, RectangleBroadcastStreamingIsAllocationFree) {
       // chunk-overlap pattern differs from a cold start) is seen too.
       pass(16);
       pass(16);
+      const PoolMisses m0 = pool_misses(task);
       if (task == 0) before.store(allocations());
       pass(32);  // measured
       if (task == 0) after.store(allocations());
+      const PoolMisses m1 = pool_misses(task);
+      mu_staging += m1.mu_staging - m0.mu_staging;
+      mu_service += m1.mu_service - m0.mu_service;
+      ctx_stage += m1.ctx_stage - m0.ctx_stage;
     });
     coll::tuning().rect_chunk = saved;
     EXPECT_EQ(after.load() - before.load(), 0u)
         << "steady-state streamed rectangle broadcast (chunk " << chunk << ") performed "
-        << (after.load() - before.load()) << " global allocations over 32 iterations";
+        << (after.load() - before.load()) << " global allocations over 32 iterations"
+        << " (pool misses: MU staging " << mu_staging.load() << ", MU service "
+        << mu_service.load() << ", context stage " << ctx_stage.load() << ")";
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -115,6 +120,132 @@ TEST(BufferPool, DistinctLiveBuffersGetDistinctBlocks) {
     for (std::size_t j = i + 1; j < live.size(); ++j) {
       EXPECT_NE(live[i].data(), live[j].data());
     }
+  }
+}
+
+TEST(BufferPool, ReserveSizesTheClassIncludingBlocksInUse) {
+  // reserve() bounds the pool's total, not its free list: blocks still
+  // out (a late receiver holding them) count, so the pool's size does not
+  // depend on when the releases come back.
+  obs::PvarSet pvars;
+  BufferPool pool(&pvars);
+  std::vector<Buf> out;
+  for (int i = 0; i < 3; ++i) out.push_back(pool.acquire(400));
+  EXPECT_EQ(pvars.get(obs::Pvar::AllocPoolMisses), 3u);
+  pool.reserve(500, 4);  // owns 3 already: creates one more
+  out.push_back(pool.acquire(300));
+  pool.reserve(512, 4);  // repeat call: nothing to do
+  EXPECT_EQ(pvars.get(obs::Pvar::AllocPoolMisses), 3u);
+  EXPECT_EQ(pvars.get(obs::Pvar::AllocPoolHits), 1u);
+  out.clear();
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 4; ++i) out.push_back(pool.acquire(512));
+    out.clear();
+  }
+  EXPECT_EQ(pvars.get(obs::Pvar::AllocPoolMisses), 3u) << "four outstanding never miss";
+  out.push_back(pool.acquire(100));  // other classes are untouched
+  EXPECT_EQ(pvars.get(obs::Pvar::AllocPoolMisses), 4u);
+}
+
+TEST(BufferPool, ConcurrentReleasesComeBackExactlyOnce) {
+  // The owner keeps acquiring while workers release the blocks it handed
+  // them, so reclaim-stack pushes race the owner's exchange-drain. Each
+  // block carries the serial of its current lease; a block leased twice
+  // at once would have its serial overwritten before the worker checks it.
+  obs::PvarSet pvars;
+  BufferPool pool(&pvars);
+  constexpr int kWorkers = 3;
+  constexpr int kPerWorker = 3000;
+  struct Inbox {
+    std::mutex mu;
+    std::vector<Buf> bufs;
+  };
+  Inbox inbox[kWorkers];
+  std::atomic<int> released{0};
+  std::atomic<int> bad_serials{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      int done = 0;
+      std::vector<Buf> mine;
+      while (done < kPerWorker) {
+        {
+          std::lock_guard<std::mutex> g(inbox[w].mu);
+          mine.swap(inbox[w].bufs);
+        }
+        for (Buf& b : mine) {
+          std::uint64_t serial;
+          std::memcpy(&serial, b.data(), sizeof(serial));
+          if (serial % kWorkers != static_cast<std::uint64_t>(w)) bad_serials.fetch_add(1);
+          b.reset();  // cross-thread release: one CAS onto the reclaim stack
+          released.fetch_add(1);
+          ++done;
+        }
+        mine.clear();
+        std::this_thread::yield();
+      }
+    });
+  }
+  constexpr int kMaxLeased = 96;  // bounds the pool, so blocks must recycle
+  for (std::uint64_t serial = 0; serial < std::uint64_t{kWorkers} * kPerWorker; ++serial) {
+    while (serial - static_cast<std::uint64_t>(released.load()) >= kMaxLeased) {
+      std::this_thread::yield();
+    }
+    Buf b = pool.acquire(8 + serial % 120);  // all in the 128-byte class
+    std::memcpy(b.data(), &serial, sizeof(serial));
+    Inbox& box = inbox[serial % kWorkers];
+    std::lock_guard<std::mutex> g(box.mu);
+    box.bufs.push_back(std::move(b));
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(released.load(), kWorkers * kPerWorker);
+  EXPECT_EQ(bad_serials.load(), 0);
+  const std::uint64_t hits = pvars.get(obs::Pvar::AllocPoolHits);
+  const std::uint64_t misses = pvars.get(obs::Pvar::AllocPoolMisses);
+  EXPECT_EQ(hits + misses, std::uint64_t{kWorkers} * kPerWorker);
+  EXPECT_LE(misses, std::uint64_t{kMaxLeased});
+
+  // Every block the pool ever created is back: re-acquiring `misses`
+  // blocks hits every time and never returns an address twice, and the
+  // next acquire has to allocate again.
+  std::set<const std::byte*> seen;
+  std::vector<Buf> all;
+  for (std::uint64_t i = 0; i < misses; ++i) {
+    all.push_back(pool.acquire(100));
+    EXPECT_TRUE(seen.insert(all.back().data()).second) << "block handed out twice";
+  }
+  EXPECT_EQ(pvars.get(obs::Pvar::AllocPoolMisses), misses) << "a released block never came back";
+  Buf fresh = pool.acquire(100);
+  EXPECT_EQ(pvars.get(obs::Pvar::AllocPoolMisses), misses + 1)
+      << "the pool handed out more blocks than it created";
+}
+
+TEST(BufferPool, ReleasesRacingTeardownTakeTheClosedPath) {
+  // Releases land before, during and after ~BufferPool swaps the closed
+  // sentinel in. Each must either be drained by the teardown or free its
+  // block to the heap; under the sanitizers a leak, a double free or a
+  // touch of the freed pool core fails the run.
+  for (int round = 0; round < 40; ++round) {
+    auto pool = std::make_unique<BufferPool>();
+    constexpr int kWorkers = 3;
+    constexpr int kPerWorker = 64;
+    std::vector<std::vector<Buf>> leases(kWorkers);
+    for (int w = 0; w < kWorkers; ++w) {
+      for (int i = 0; i < kPerWorker; ++i) {
+        leases[static_cast<std::size_t>(w)].push_back(pool->acquire(1 + (i % 3) * 700));
+      }
+    }
+    std::atomic<bool> go{false};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+      workers.emplace_back([&, w] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (Buf& b : leases[static_cast<std::size_t>(w)]) b.reset();
+      });
+    }
+    go.store(true, std::memory_order_release);
+    pool.reset();  // races the releases above
+    for (std::thread& t : workers) t.join();
   }
 }
 

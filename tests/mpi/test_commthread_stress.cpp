@@ -14,7 +14,9 @@
 // the interleavings, not throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "mpi/mpi.h"
@@ -83,6 +85,47 @@ TEST(CommthreadStress, BurstWaitallRacesInlineSendsAndHandoffs) {
       }
       mp.waitall(reqs);
       for (int i = 0; i < kMsgs; ++i) EXPECT_EQ(recv_buf[static_cast<std::size_t>(i)], peer);
+      mp.barrier(w);
+    }
+    mp.finalize();
+  });
+}
+
+TEST(CommthreadStress, RendezvousWaitallRacesIdleSweep) {
+  // Rendezvous-sized messages: waitall's advance pulls each one
+  // (RdzvProtocol::start_pull registers its reception counter with the
+  // counter device) while the commthreads' sweeps ask every device of the
+  // same context whether it is idle. The idle predicates must read only
+  // state the advancing thread publishes atomically.
+  runtime::Machine machine(hw::TorusGeometry({2, 1, 1, 1, 1}), 1);
+  MpiWorld world(machine, commthread_cfg());
+  machine.run_spmd([&](int task) {
+    Mpi& mp = world.at(task);
+    mp.init(ThreadLevel::Multiple);
+    const Comm w = mp.world();
+    const int me = mp.rank(w);
+    const int peer = 1 - me;
+    constexpr int kMsgs = 8;
+    constexpr std::size_t kBytes = 3 * 4096;  // above the rendezvous threshold
+    std::vector<std::vector<std::uint8_t>> recv_buf(kMsgs, std::vector<std::uint8_t>(kBytes));
+    std::vector<std::vector<std::uint8_t>> send_buf(kMsgs, std::vector<std::uint8_t>(kBytes));
+    for (int round = 0; round < 6; ++round) {
+      std::vector<Request> reqs;
+      reqs.reserve(2 * kMsgs);
+      for (int i = 0; i < kMsgs; ++i) {
+        auto& out = send_buf[static_cast<std::size_t>(i)];
+        std::fill(out.begin(), out.end(), static_cast<std::uint8_t>(me * 64 + round * 8 + i));
+        reqs.push_back(mp.irecv(recv_buf[static_cast<std::size_t>(i)].data(), kBytes, peer,
+                                i, w));
+        reqs.push_back(mp.isend(out.data(), kBytes, peer, i, w));
+      }
+      mp.waitall(reqs);
+      for (int i = 0; i < kMsgs; ++i) {
+        const auto& in = recv_buf[static_cast<std::size_t>(i)];
+        const auto want = static_cast<std::uint8_t>(peer * 64 + round * 8 + i);
+        EXPECT_EQ(in.front(), want);
+        EXPECT_EQ(in.back(), want);
+      }
       mp.barrier(w);
     }
     mp.finalize();

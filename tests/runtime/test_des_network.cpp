@@ -34,6 +34,9 @@ hw::MuPacket make_packet(int src, int dst, std::size_t bytes, std::uint64_t seq)
   return p;
 }
 
+/// Hand one packet to the backend as a burst of one.
+bool send(hw::NetBackend& net, hw::MuPacket p) { return net.transmit(&p, 1) == 1; }
+
 /// Drain one packet from a node's reception FIFO 0, if any.
 bool pop_one(runtime::Machine& m, int node, hw::MuPacket& out) {
   return m.node(node).mu().rec_fifo(0).poll_batch(&out, 1) == 1;
@@ -55,7 +58,7 @@ TEST(DesNetwork, BackendSelectionAndIdentity) {
 TEST(DesNetwork, TransmitDeliversAfterVirtualTime) {
   runtime::Machine m(hw::TorusGeometry({4, 1, 1, 1, 1}), 1, des_options());
   hw::NetBackend& net = m.backend();
-  ASSERT_TRUE(net.transmit(make_packet(0, 2, 64, 1)));
+  ASSERT_TRUE(send(net, make_packet(0, 2, 64, 1)));
   EXPECT_EQ(net.packets_delivered(), 0u);  // nothing moves until time does
   EXPECT_EQ(net.in_flight(), 1u);
   while (net.in_flight() > 0) ASSERT_TRUE(net.advance_time());
@@ -72,7 +75,7 @@ TEST(DesNetwork, TransmitDeliversAfterVirtualTime) {
 TEST(DesNetwork, InOrderDeliveryOnDeterministicRoutes) {
   runtime::Machine m(hw::TorusGeometry({4, 2, 1, 1, 1}), 1, des_options());
   hw::NetBackend& net = m.backend();
-  for (std::uint32_t i = 0; i < 32; ++i) ASSERT_TRUE(net.transmit(make_packet(0, 5, 128, i)));
+  for (std::uint32_t i = 0; i < 32; ++i) ASSERT_TRUE(send(net, make_packet(0, 5, 128, i)));
   while (net.in_flight() > 0) net.advance_time();
   std::uint64_t expect = 0;
   hw::MuPacket pkt;
@@ -91,7 +94,7 @@ TEST(DesNetwork, ContentionStretchesTime) {
   {
     runtime::Machine m(g, 1, des_options());
     for (int s = 1; s < 16; ++s) {
-      ASSERT_TRUE(m.backend().transmit(make_packet(s, 0, 512, 0)));
+      ASSERT_TRUE(send(m.backend(), make_packet(s, 0, 512, 0)));
     }
     while (m.backend().in_flight() > 0) m.backend().advance_time();
     incast_us = m.backend().now_us();
@@ -100,7 +103,7 @@ TEST(DesNetwork, ContentionStretchesTime) {
   {
     runtime::Machine m(g, 1, des_options());
     for (int s = 1; s < 16; ++s) {
-      ASSERT_TRUE(m.backend().transmit(make_packet(s, (s + 8) % 16, 512, 0)));
+      ASSERT_TRUE(send(m.backend(), make_packet(s, (s + 8) % 16, 512, 0)));
     }
     while (m.backend().in_flight() > 0) m.backend().advance_time();
     spread_us = m.backend().now_us();
@@ -112,7 +115,7 @@ TEST(DesNetwork, DepositBitDeliversAlongLine) {
   runtime::Machine m(hw::TorusGeometry({6, 1, 1, 1, 1}), 1, des_options());
   hw::MuPacket p = make_packet(0, 2, 32, 0);  // 0 -> 2 routes A+ through 1
   p.deposit = true;
-  ASSERT_TRUE(m.backend().transmit(std::move(p)));
+  ASSERT_TRUE(send(m.backend(), std::move(p)));
   while (m.backend().in_flight() > 0) m.backend().advance_time();
   // Every node the route passes through got a copy.
   EXPECT_EQ(m.backend().packets_delivered(), 2u);
@@ -126,7 +129,7 @@ TEST(DesNetwork, LinkSkewSlowsDelivery) {
   const hw::TorusGeometry g({4, 4, 2, 1, 1});
   auto one_way = [&](double skew) {
     runtime::Machine m(g, 1, des_options(/*seed=*/7, skew));
-    EXPECT_TRUE(m.backend().transmit(make_packet(0, 21, 256, 0)));
+    EXPECT_TRUE(send(m.backend(), make_packet(0, 21, 256, 0)));
     while (m.backend().in_flight() > 0) m.backend().advance_time();
     return m.backend().now_us();
   };
@@ -137,7 +140,7 @@ TEST(DesNetwork, RetryWhenReceptionFifoFull) {
   runtime::MachineOptions mo = des_options();
   mo.rec_fifo_capacity = 4;
   runtime::Machine m(hw::TorusGeometry({2, 1, 1, 1, 1}), 1, mo);
-  for (std::uint32_t i = 0; i < 12; ++i) ASSERT_TRUE(m.backend().transmit(make_packet(0, 1, 32, i)));
+  for (std::uint32_t i = 0; i < 12; ++i) ASSERT_TRUE(send(m.backend(), make_packet(0, 1, 32, i)));
   // Let deliveries run with nobody draining: the FIFO fills and the
   // backend must retry the overflow instead of dropping it.
   for (int i = 0; i < 50; ++i) m.backend().advance_time();
@@ -156,7 +159,7 @@ TEST(DesNetwork, RetryWhenReceptionFifoFull) {
 
 TEST(DesNetwork, PvarsAccumulate) {
   runtime::Machine m(hw::TorusGeometry({2, 2, 1, 1, 1}), 1, des_options(/*seed=*/3));
-  for (std::uint32_t i = 0; i < 8; ++i) ASSERT_TRUE(m.backend().transmit(make_packet(0, 3, 200, i)));
+  for (std::uint32_t i = 0; i < 8; ++i) ASSERT_TRUE(send(m.backend(), make_packet(0, 3, 200, i)));
   while (m.backend().in_flight() > 0) m.backend().advance_time();
   const obs::PvarSnapshot pv = m.des_network()->obs().pvars.snapshot();
   EXPECT_GT(pv[obs::Pvar::SimEvents], 0u);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <numeric>
+#include <vector>
 
 namespace pamix::runtime {
 namespace {
@@ -96,6 +98,46 @@ TEST(FunctionalNetwork, DepositBitDeliversAlongTheLine) {
   // The source itself does not receive its own deposit.
   hw::MuPacket none;
   EXPECT_FALSE(m.node(0).mu().rec_fifo(0).poll(none));
+}
+
+TEST(FunctionalNetwork, BurstCountersMatchPerPacketTotals) {
+  // A 4-slot reception FIFO makes every 16-packet burst partial. The
+  // delivery counters, the receiver's packet count and the sender's
+  // mu.packets_injected must still equal the per-packet totals exactly:
+  // rejected packets are neither counted nor lost.
+  MachineOptions mo;
+  mo.rec_fifo_capacity = 4;
+  Machine m(hw::TorusGeometry({2, 1, 1, 1, 1}), 1, mo);
+  const std::size_t bytes = 22 * hw::kMaxPacketPayload + 40;  // 23 packets
+  std::vector<std::byte> payload(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) payload[i] = static_cast<std::byte>(i * 13 + 1);
+  hw::MuDescriptor d;
+  d.type = hw::MuPacketType::MemoryFifo;
+  d.dest_node = 1;
+  d.rec_fifo = 0;
+  d.payload = payload.data();
+  d.payload_bytes = bytes;
+  ASSERT_TRUE(m.node(0).mu().inj_fifo(0).push(std::move(d)));
+
+  std::vector<std::byte> got;
+  int injected = 0;
+  for (int pass = 0; pass < 100 && injected == 0; ++pass) {
+    injected = m.node(0).mu().advance_injection(0);
+    EXPECT_EQ(m.network().packets_delivered(),
+              m.node(1).mu().packets_received(hw::MuPacketType::MemoryFifo));
+    EXPECT_EQ(m.network().packets_delivered(),
+              m.node(0).mu().obs().pvars.get(obs::Pvar::PacketsInjected));
+    hw::MuPacket pkt;
+    while (m.node(1).mu().rec_fifo(0).poll(pkt)) {
+      got.insert(got.end(), pkt.payload.data(), pkt.payload.data() + pkt.payload.size());
+    }
+    EXPECT_EQ(m.network().payload_bytes_delivered(), got.size());
+  }
+  EXPECT_EQ(injected, 1);
+  EXPECT_EQ(m.network().packets_delivered(), 23u);
+  EXPECT_EQ(m.network().payload_bytes_delivered(), bytes);
+  EXPECT_EQ(m.node(0).mu().obs().pvars.get(obs::Pvar::PacketsInjected), 23u);
+  EXPECT_EQ(got, payload);
 }
 
 }  // namespace
