@@ -41,7 +41,7 @@ SweepRow run_point(std::size_t limit, std::size_t bytes, int iters) {
   std::vector<std::byte> payload(bytes, std::byte{0x5A});
   std::vector<std::byte> sink(bytes);
   int got = 0;
-  rx.set_dispatch(1, [&](pami::Context&, const void*, std::size_t, const void* pipe,
+  rx.set_dispatch(1, [&](pami::Context&, const void*, std::size_t, const void*,
                          std::size_t, std::size_t total, pami::Endpoint,
                          pami::RecvDescriptor* recv) {
     if (recv != nullptr) {

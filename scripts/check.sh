@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite across the supported build
 # flavours:
-#   obs-on   — default configuration (PAMIX_OBS=ON)
+#   obs-on   — default configuration (PAMIX_OBS=ON), warnings as errors
+#              (-DPAMIX_WERROR=ON)
 #   obs-off  — tracer compiled out (-DPAMIX_OBS=OFF); pvar-backed
 #              accessors must keep working
 #   sanitize — ASan + UBSan (-DPAMIX_SANITIZE=ON), catching lifetime and
@@ -13,7 +14,9 @@
 #              run under the race detector; so do the commthread stress
 #              tests (incl. the rendezvous waitall vs idle-sweep race),
 #              the BufferPool reclaim-stack and teardown races, the
-#              zero-allocation steady-state suite and all of test_hw
+#              zero-allocation steady-state suite, all of test_hw and
+#              the collective-network engine (per-round locks, rounds
+#              pipelined from two threads)
 #   bench-smoke — build the obs-on tree and run fig5 with a tiny message
 #              count under PAMIX_BENCH_STRICT_ALLOC: any steady-state pool
 #              miss (a zero-allocation fast-path regression) fails the run;
@@ -77,7 +80,7 @@ run_flavor() {
 for flavor in "${flavors[@]}"; do
   case "${flavor}" in
     obs-on)
-      run_flavor obs-on "${prefix}" ;;
+      run_flavor obs-on "${prefix}" -DPAMIX_WERROR=ON ;;
     obs-off)
       run_flavor obs-off "${prefix}-obs-off" -DPAMIX_OBS=OFF ;;
     sanitize)
@@ -86,12 +89,13 @@ for flavor in "${flavors[@]}"; do
       echo "==> [sanitize-thread] TSan build + threaded endpoint/matching stress"
       cmake -B "${prefix}-tsan" -S . -DCMAKE_BUILD_TYPE=Release -DPAMIX_SANITIZE=thread
       cmake --build "${prefix}-tsan" -j "${jobs}" \
-        --target test_mpi test_core test_alloc_steadystate test_hw
+        --target test_mpi test_core test_alloc_steadystate test_hw test_runtime
       "${prefix}-tsan/tests/test_mpi" \
         --gtest_filter='MpiEndpoints.*:RequestPoolEndpoints.*:MatcherEndpoints.*:*Threading*:*MatchStress*:*Stress*'
       "${prefix}-tsan/tests/test_core" --gtest_filter='BufferPool*'
       "${prefix}-tsan/tests/test_alloc_steadystate" --gtest_filter='AllocSteadyState*'
-      "${prefix}-tsan/tests/test_hw" ;;
+      "${prefix}-tsan/tests/test_hw"
+      "${prefix}-tsan/tests/test_runtime" --gtest_filter='CollectiveEngine*' ;;
     bench-smoke)
       echo "==> [bench-smoke] fig5 strict-alloc gate + fast-path microbenches"
       cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release

@@ -109,6 +109,9 @@ struct CollState {
   /// either (empty slots match insert_locked's reuse scan).
   void reserve(std::size_t n, std::size_t count) {
     std::lock_guard<hw::L2AtomicMutex> g(mu);
+    reserve_locked(n, count);
+  }
+  void reserve_locked(std::size_t n, std::size_t count) {
     pool.reserve(n, count);
     if (slots.size() < count) slots.resize(count);
   }
@@ -174,11 +177,31 @@ CollState& state_of(Client& client) {
   return *std::static_pointer_cast<CollState>(cookie);
 }
 
-/// Next operation sequence number for geometry `g` on this task.
-std::uint64_t next_seq(Client& client, Geometry& g) {
+/// Deposits a rank may hold beyond the current operation's own fan-in:
+/// peers that already left an operation (a broadcast root, a finished
+/// barrier round) run their next eager sends into this rank before it
+/// takes them. Blocking collectives keep that skew to a few operations.
+constexpr std::size_t kSwDepositsAhead = 8;
+
+/// Enter a software collective on `g`: returns this task's next operation
+/// sequence number, and under the same lock pre-sizes the match table and
+/// the deposit pool's `bytes` class for `fan_in` deposits of this
+/// operation plus kSwDepositsAhead early ones. Neither then grows mid-run
+/// from scheduling luck: a steady state allocates nothing once each
+/// operation shape has been entered once.
+std::uint64_t enter_software(Client& client, Geometry& g, std::size_t bytes,
+                             std::size_t fan_in) {
   CollState& st = state_of(client);
   std::lock_guard<hw::L2AtomicMutex> lk(st.mu);
+  st.reserve_locked(bytes, fan_in + kSwDepositsAhead);
   return st.seq[g.id()]++;
+}
+
+/// Rounds of a radix-`r` tree over `n` ranks: ceil(log_r n).
+std::size_t tree_levels(std::size_t n, std::size_t r) {
+  std::size_t levels = 0;
+  for (std::size_t span = 1; span < n; span *= r) ++levels;
+  return levels;
 }
 
 void progress(Context& ctx);
@@ -234,6 +257,10 @@ void send_coll(Context& ctx, Geometry& g, std::uint64_t seq, int phase, std::siz
   p.data_bytes = bytes;
   p.hints = hints;
   const ClientConfig& cfg = ctx.client().world().config();
+  // The MU stages each packet until the receiver polls it, and a peer
+  // leaves up to kSwDepositsAhead messages untaken: size the staging
+  // toward this peer for that many, so a late receiver cannot grow it.
+  ctx.reserve_sends(p.dest, sizeof(h), bytes, kSwDepositsAhead);
   if (bytes > std::min(cfg.eager_limit, cfg.shm_eager_limit)) {
     pending.fetch_add(1, std::memory_order_acq_rel);
     std::atomic<int>* counter = &pending;
@@ -354,10 +381,11 @@ void barrier_optimized(Context& ctx, Geometry& g) {
 //   peers:            copy slice j out of the master's recvbuf as soon as
 //                     net_done > j, overlapping rounds still in flight
 /// Cap on network rounds a master may have in flight beyond the last
-/// completed one — the model's stand-in for the finite injection FIFO:
-/// each live round holds a slice-sized accumulator in the engine, so an
-/// unthrottled master pipelining a 32MB message would pin hundreds of
-/// slices of engine state.
+/// completed one — the model's stand-in for the finite injection FIFO.
+/// A live round keeps no payload in the engine (it accumulates in the
+/// first contributor's recvbuf), but it holds one of the engine's 64
+/// round slots: an unthrottled master pipelining a 32MB message would arm
+/// 512 rounds at once, and the engine aborts past 64 in flight.
 constexpr std::uint64_t kMaxInflightRounds = 8;
 
 void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* recvbuf,
@@ -434,8 +462,9 @@ void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* r
     std::byte* stage = grp.staging.data() + (k % 2) * S;
 
     // Staging half (k % 2) was last consumed when round k-2 was armed
-    // (the engine copies/combines at arm time); wait for that arm before
-    // overwriting it. The first two slices start on fresh halves.
+    // (the engine consumes a contribution before the arm returns); wait
+    // for that arm before overwriting it. The first two slices start on
+    // fresh halves.
     if (k >= 2) wait_for(grp.armed, armed0 + (k - 1));
 
     // Parallel local math (Figure 3): each local process reduces its
@@ -481,9 +510,8 @@ void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* r
       st.obs.pvars.add(obs::Pvar::CollSlices);
       // Arm round k once every local rank finished this slice's math,
       // then move straight on to slice k+1 — no done() polling. The
-      // in-flight cap bounds the engine's live-round state (each pending
-      // round holds a slice-sized accumulator), like a finite injection
-      // FIFO would on the real network.
+      // in-flight cap bounds the engine's live rounds, like a finite
+      // injection FIFO would on the real network.
       if (k > kMaxInflightRounds) wait_for(grp.net_done, done0 + k - kMaxInflightRounds);
       wait_for(grp.math_done, math0 + (k + 1) * lc);
       const std::uint64_t round = grp.round.fetch_add(1, std::memory_order_acq_rel);
@@ -548,8 +576,8 @@ void broadcast_optimized(Context& ctx, Geometry& g, std::size_t root_rank, void*
     for (std::size_t k = 0; k < nslices; ++k) {
       const std::size_t off = k * S;
       const std::size_t slice = std::min(S, bytes - off);
-      // Finite-FIFO throttle: bound the engine's live rounds (each holds
-      // a slice-sized accumulator) instead of arming the whole message.
+      // Finite-FIFO throttle: bound the engine's live rounds instead of
+      // arming the whole message.
       if (k > kMaxInflightRounds) wait_net(done0 + k - kMaxInflightRounds);
       const std::uint64_t round = grp.round.fetch_add(1, std::memory_order_acq_rel);
       eng.contribute_broadcast(round, on_root_node, on_root_node ? src + off : nullptr, slice,
@@ -598,7 +626,7 @@ std::size_t knomial_scale(std::size_t rel, std::size_t n, std::size_t r) {
 void barrier_software(Context& ctx, Geometry& g) {
   const std::size_t n = g.size();
   const std::size_t me = *g.rank_of(ctx.client().task());
-  const std::uint64_t seq = next_seq(ctx.client(), g);
+  const std::uint64_t seq = enter_software(ctx.client(), g, 0, tree_levels(n, 2));
   std::atomic<int> pending{0};
   // Dissemination barrier: log2(n) rounds of token exchange.
   for (std::size_t dist = 1, phase = 0; dist < n; dist *= 2, ++phase) {
@@ -614,7 +642,7 @@ void broadcast_software(Context& ctx, Geometry& g, std::size_t root_rank, void* 
   const std::size_t n = g.size();
   const std::size_t me = *g.rank_of(ctx.client().task());
   const std::size_t rel = (me + n - root_rank) % n;
-  const std::uint64_t seq = next_seq(ctx.client(), g);
+  const std::uint64_t seq = enter_software(ctx.client(), g, bytes, 1);
   const auto radix = static_cast<std::size_t>(tuning().radix);
   std::atomic<int> pending{0};
 
@@ -643,8 +671,10 @@ void reduce_software(Context& ctx, Geometry& g, std::size_t root_rank, const voi
   const std::size_t n = g.size();
   const std::size_t me = *g.rank_of(ctx.client().task());
   const std::size_t rel = (me + n - root_rank) % n;
-  const std::uint64_t seq = next_seq(ctx.client(), g);
   const auto radix = static_cast<std::size_t>(tuning().radix);
+  // Fan-in: up to radix-1 children per tree level, plus the accumulator.
+  const std::uint64_t seq =
+      enter_software(ctx.client(), g, bytes, (radix - 1) * tree_levels(n, radix) + 1);
   CollState& st = state_of(ctx.client());
   std::atomic<int> pending{0};
 
@@ -705,6 +735,12 @@ void register_collective_dispatch(Client& client) {
   }
 }
 
+CollStateStats coll_state_stats(Client& client) {
+  CollState& st = state_of(client);
+  std::lock_guard<hw::L2AtomicMutex> g(st.mu);
+  return {st.pool.misses(), st.slots.size()};
+}
+
 void software_barrier(Context& ctx, Geometry& g) { barrier_software(ctx, g); }
 
 void barrier(Context& ctx, Geometry& g) {
@@ -755,7 +791,7 @@ void alltoall(Context& ctx, Geometry& g, const void* sendbuf, void* recvbuf,
               std::size_t bytes_per_rank) {
   const std::size_t n = g.size();
   const std::size_t me = *g.rank_of(ctx.client().task());
-  const std::uint64_t seq = next_seq(ctx.client(), g);
+  const std::uint64_t seq = enter_software(ctx.client(), g, bytes_per_rank, n - 1);
   const auto* send = static_cast<const std::byte*>(sendbuf);
   auto* recv = static_cast<std::byte*>(recvbuf);
   std::atomic<int> pending{0};
@@ -779,7 +815,8 @@ void gather(Context& ctx, Geometry& g, std::size_t root_rank, const void* sendbu
             std::size_t bytes_per_rank) {
   const std::size_t n = g.size();
   const std::size_t me = *g.rank_of(ctx.client().task());
-  const std::uint64_t seq = next_seq(ctx.client(), g);
+  const std::uint64_t seq =
+      enter_software(ctx.client(), g, bytes_per_rank, me == root_rank ? n - 1 : 0);
   if (me == root_rank) {
     auto* recv = static_cast<std::byte*>(recvbuf);
     std::memcpy(recv + me * bytes_per_rank, sendbuf, bytes_per_rank);
@@ -878,7 +915,8 @@ void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void*
     // Cached trees rooted elsewhere: build privately for this call.
     rt = std::make_shared<RectTrees>(m.geometry(), *g.topology().rectangle(), root_node);
   }
-  const std::uint64_t seq = next_seq(ctx.client(), g);
+  // The relay reserves its own chunk deposits below, once it knows them.
+  const std::uint64_t seq = enter_software(ctx.client(), g, 0, 0);
 
   if (my_task == root_task) li.group->root_slot.publish(buffer);
   local_barrier(ctx, li);
@@ -1112,7 +1150,8 @@ void scatter(Context& ctx, Geometry& g, std::size_t root_rank, const void* sendb
              std::size_t bytes_per_rank) {
   const std::size_t n = g.size();
   const std::size_t me = *g.rank_of(ctx.client().task());
-  const std::uint64_t seq = next_seq(ctx.client(), g);
+  const std::uint64_t seq =
+      enter_software(ctx.client(), g, bytes_per_rank, me == root_rank ? 0 : 1);
   if (me == root_rank) {
     const auto* send = static_cast<const std::byte*>(sendbuf);
     std::memcpy(recvbuf, send + me * bytes_per_rank, bytes_per_rank);

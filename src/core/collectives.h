@@ -84,6 +84,15 @@ CollTuning& tuning();
 /// Called from Client construction; callable again idempotently.
 void register_collective_dispatch(Client& client);
 
+/// Growth of a client's software-collective state, for zero-allocation
+/// diagnostics: deposit-pool misses (each allocated a block) and the
+/// number of match slots (the table only grows).
+struct CollStateStats {
+  std::uint64_t pool_misses = 0;
+  std::size_t match_slots = 0;
+};
+CollStateStats coll_state_stats(Client& client);
+
 void barrier(Context& ctx, Geometry& g);
 
 /// Always-software barrier, regardless of optimization state. Used to

@@ -84,8 +84,8 @@ enum class Pvar : std::uint32_t {
   // Collective-network engine.
   CollRoundsContributed,
   CollRoundsCompleted,
-  // Engine lock acquisitions that found the L2 mutex held (masters of
-  // different nodes contributing concurrently).
+  // Engine- or round-lock acquisitions that found the L2 mutex held
+  // (masters of different nodes contributing concurrently).
   CollnetLockContended,
   // Collective data path (the per-client "coll" domain).
   CollSlices,            // pipeline slices processed (counted at the master)

@@ -196,7 +196,7 @@ pami::Result ProgressEngine::send(pami::SendParams& params) {
     const int fifo = inj_fifo_for(dest_node);
     r = params.data_bytes <= config().eager_limit ? eager_->send(params, std::move(desc), fifo)
                                                   : rdzv_->send(params, std::move(desc), fifo);
-    if (r == pami::Result::Eagain) unwind_msg_seq();
+    if (r != pami::Result::Success) unwind_msg_seq();  // nothing was injected
   }
   if (r == pami::Result::Eagain) obs_.pvars.add(obs::Pvar::SendEagain);
   return r;

@@ -11,18 +11,20 @@
 namespace pamix::proto {
 
 pami::Result RdzvProtocol::send(pami::SendParams& params, hw::MuDescriptor desc, int fifo) {
+  // The RTS is one packet: the user header followed by RtsInfo. A header
+  // too large for that is refused in every build, before a send-state
+  // slot or a stage buffer is taken (the caller unwinds the sequence).
+  const std::size_t header_bytes = params.header_bytes;
+  if (header_bytes > hw::kMaxPacketPayload - sizeof(RtsInfo)) return pami::Result::Invalid;
   RtsInfo rts;
   rts.src_addr = reinterpret_cast<std::uint64_t>(params.data);
   rts.bytes = params.data_bytes;
   rts.handle =
       engine_.send_states().alloc(std::move(params.on_local_done), std::move(params.on_remote_done));
 
-  core::Buf stream = engine_.stage_pool().acquire(params.header_bytes + sizeof(RtsInfo));
-  if (params.header_bytes > 0) {
-    std::memcpy(stream.data(), params.header, params.header_bytes);
-  }
-  std::memcpy(stream.data() + params.header_bytes, &rts, sizeof(RtsInfo));
-  assert(stream.size() <= hw::kMaxPacketPayload && "RTS header too large for one packet");
+  core::Buf stream = engine_.stage_pool().acquire(header_bytes + sizeof(RtsInfo));
+  if (header_bytes > 0) std::memcpy(stream.data(), params.header, header_bytes);
+  std::memcpy(stream.data() + header_bytes, &rts, sizeof(RtsInfo));
 
   desc.sw.flags = kFlagRts;
   desc.sw.msg_bytes = static_cast<std::uint32_t>(stream.size());

@@ -14,14 +14,23 @@
 // Rounds are pipelined: a fast node may contribute to round r+1 while
 // stragglers are still completing round r; per-round state is keyed by the
 // caller-supplied round number (PAMI sequences collectives per geometry,
-// which provides exactly this monotonic round id).
+// which provides exactly this monotonic round id). Round r lives in slot
+// r % 64 of a fixed ring, so different rounds share no lock: each slot has
+// its own, and the engine-wide lock covers only the completion window and
+// handing a slot back once its round has finished. At most 64 rounds may
+// be in flight — the bound the completion window always assumed.
+//
+// Each round touches its bytes as few times as possible. The first
+// contributor with data copies it into its own destination, which becomes
+// the round's accumulator; middle contributors combine into it; the last
+// contributor combines block by block and fans each block out to every
+// other destination while it is still in cache.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <deque>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -31,7 +40,8 @@
 
 namespace pamix::runtime {
 
-/// Apply a combine op elementwise: acc = acc OP in.
+/// Apply a combine op elementwise: acc = acc OP in. `acc` and `in` must
+/// not partially overlap (the kernel is compiled to vectorize).
 void combine_buffers(hw::CombineOp op, hw::CombineType type, void* acc, const void* in,
                      std::size_t bytes);
 
@@ -39,11 +49,7 @@ class CollectiveNetworkEngine {
  public:
   /// Program the engine for `participants` nodes (one master contribution
   /// per node). Mirrors writing the classroute DCRs.
-  explicit CollectiveNetworkEngine(int participants)
-      : participants_(participants),
-        // The ring is written under mu_, so the serialized contributors
-        // satisfy the single-writer contract.
-        obs_(obs::Registry::instance().create("collnet", /*pid=*/-1, /*tid=*/0)) {}
+  explicit CollectiveNetworkEngine(int participants);
 
   struct Ticket {
     std::uint64_t round = 0;
@@ -57,9 +63,16 @@ class CollectiveNetworkEngine {
   /// never allocates to store it.
   using CompletionHook = void (*)(void*);
 
-  /// Contribute this node's data for reduction round `round`.
+  /// Contribute this node's data for reduction round `round`. Rounds are
+  /// numbered 0, 1, 2, ... per engine, and at most 64 may be in flight: a
+  /// contribution to round r while round r-64 is still incomplete (or a
+  /// second contribution from a node to a finished round) aborts.
   /// `result_dest` is where the network RDMA-writes this node's copy of
-  /// the combined result (the master's receive buffer).
+  /// the combined result (the master's receive buffer); it may be `data`
+  /// itself (in place). Until the round completes, the engine may use the
+  /// first contributor's `result_dest` as the round's accumulator, so no
+  /// node may read its destination before its round is done. `data` is
+  /// consumed by the time the call returns.
   /// `hook` (optional) runs under no locks after the result lands — the
   /// caller's alternative to busy-polling done().
   Ticket contribute_reduce(std::uint64_t round, const void* data, std::size_t bytes,
@@ -73,61 +86,73 @@ class CollectiveNetworkEngine {
                               std::size_t bytes, void* result_dest,
                               CompletionHook hook = nullptr, void* hook_arg = nullptr);
 
-  /// True once the round of `t` has completed and this node's result has
-  /// been written.
+  /// True once the round of `t` has completed, this node's result has
+  /// been written and the round's hooks have returned.
   bool done(const Ticket& t) const;
 
   int participants() const { return participants_; }
 
  private:
-  /// Per-round state, recycled: slots live in a deque (stable references
-  /// across growth) and are reclaimed after the round's hooks run, with
-  /// their vectors keeping capacity — steady-state collectives touch the
-  /// heap only while a new high-water mark of in-flight rounds or payload
-  /// size is being established.
+  /// Slots of the round ring; round r uses slot r % kRoundSlots.
+  static constexpr std::size_t kRoundSlots = 64;
+  static constexpr std::uint64_t kNoRound = ~std::uint64_t{0};
+  using Hook = std::pair<CompletionHook, void*>;
+
+  /// One ring slot. `mu` guards everything but `reclaimed` from the claim
+  /// until the round's last contribution arrives; after that only the
+  /// last contributor touches the slot, until it sets `reclaimed`.
   struct Round {
-    std::uint64_t id = 0;
-    bool live = false;
+    hw::L2AtomicMutex mu;
+    std::uint64_t id = kNoRound;
     int arrived = 0;
-    bool is_broadcast = false;
-    bool have_op = false;
     hw::CombineOp op = hw::CombineOp::Add;
     hw::CombineType type = hw::CombineType::Double;
     std::size_t bytes = 0;
+    /// The round's data so far: the first data contributor's destination,
+    /// or `acc` when that contributor has none. Null until data arrives.
+    std::byte* accum = nullptr;
     std::vector<std::byte> acc;
-    std::vector<void*> dests;
-    std::vector<std::pair<CompletionHook, void*>> hooks;
-    bool complete = false;
+    /// Destinations other than `accum` (written when the round fires) and
+    /// hooks, in this slot's `participants_`-entry stretch of the stores.
+    void** dests = nullptr;
+    std::size_t ndests = 0;
+    Hook* hooks = nullptr;
+    std::size_t nhooks = 0;
+    /// Set under the engine lock once the round's hooks have returned:
+    /// from then on round id + kRoundSlots may claim the slot.
+    std::atomic<bool> reclaimed{true};
   };
 
   Ticket contribute(std::uint64_t round, bool broadcast, bool provides_data, const void* data,
                     std::size_t bytes, hw::CombineOp op, hw::CombineType type,
                     void* result_dest, CompletionHook hook, void* hook_arg);
 
-  /// Find (or claim and reset) the slot for `round`. Called under mu_.
-  Round& round_slot(std::uint64_t round);
+  /// Lock round `round`'s slot, claiming it if this is the round's first
+  /// contribution. Returns with the slot's `mu` held.
+  Round& lock_round(std::uint64_t round);
   /// Record `round` in the sliding completion window. Called under mu_.
   void mark_completed(std::uint64_t round);
 
-  /// Acquire mu_, counting acquisitions that found it held (contention
+  /// Acquire `m`, counting acquisitions that found it held (contention
   /// between node masters is a real hardware effect worth seeing).
-  void lock() const {
-    if (!mu_.try_lock()) {
+  void acquire(hw::L2AtomicMutex& m) const {
+    if (!m.try_lock()) {
       obs_.pvars.add(obs::Pvar::CollnetLockContended);
-      mu_.lock();
+      m.lock();
     }
   }
-  void unlock() const { mu_.unlock(); }
 
   const int participants_;
   obs::Domain& obs_;
-  // The only mutex on the collective hot path: the BG/Q L2-atomic ticket
-  // lock, not a std::mutex (no futex syscall when masters collide).
+  std::vector<void*> dest_store_;
+  std::vector<Hook> hook_store_;
+  std::array<Round, kRoundSlots> slots_;
+  // The engine lock: the completion window and slot reclaim. The BG/Q
+  // L2-atomic ticket lock, not a std::mutex (no futex syscall when masters
+  // collide). Never held while a payload is touched.
   mutable hw::L2AtomicMutex mu_;
-  std::deque<Round> slots_;
   // Sliding completion window: rounds below win_base_ are complete;
-  // win_bits_ bit i records completion of round win_base_ + i. Pipelining
-  // bounds in-flight skew to a handful of rounds, far below 64.
+  // win_bits_ bit i records completion of round win_base_ + i.
   std::uint64_t win_base_ = 0;
   std::uint64_t win_bits_ = 0;
 };

@@ -66,8 +66,8 @@ std::uint64_t allocations() { return g_news.load(std::memory_order_relaxed); }
 /// measured allocation is attributable to the messaging path itself.
 class AllocSteadyState : public ::testing::Test {
  protected:
-  AllocSteadyState()
-      : machine_(hw::TorusGeometry({2, 1, 1, 1, 1}), 1), world_(machine_, make_config()) {}
+  explicit AllocSteadyState(int ppn = 1)
+      : machine_(hw::TorusGeometry({2, 1, 1, 1, 1}), ppn), world_(machine_, make_config()) {}
 
   static ClientConfig make_config() {
     ClientConfig c;
@@ -182,6 +182,7 @@ TEST_F(AllocSteadyState, SoftwareCollectivesAreAllocationFree) {
   ASSERT_FALSE(geom->optimized());
   std::atomic<std::uint64_t> before{0}, after{0};
   std::atomic<std::uint64_t> mu_staging{0}, mu_service{0}, ctx_stage{0};
+  std::atomic<std::uint64_t> coll_pool{0}, coll_slots{0};
   machine_.run_spmd([&](int task) {
     Context& cx = ctx(task);
     const auto rank = static_cast<double>(*geom->rank_of(task));
@@ -241,19 +242,24 @@ TEST_F(AllocSteadyState, SoftwareCollectivesAreAllocationFree) {
     pass();  // includes one pass->pass transition (its packet overlap
              // pattern differs from the burst-drain->pass boundary)
     const PoolMisses m0 = pool_misses(task);
+    const coll::CollStateStats c0 = coll::coll_state_stats(world_.client(task));
     if (task == 0) before.store(allocations());
     pass();  // measured
     if (task == 0) after.store(allocations());
     const PoolMisses m1 = pool_misses(task);
+    const coll::CollStateStats c1 = coll::coll_state_stats(world_.client(task));
     mu_staging += m1.mu_staging - m0.mu_staging;
     mu_service += m1.mu_service - m0.mu_service;
     ctx_stage += m1.ctx_stage - m0.ctx_stage;
+    coll_pool += c1.pool_misses - c0.pool_misses;
+    coll_slots += c1.match_slots - c0.match_slots;
   });
   EXPECT_EQ(after.load() - before.load(), 0u)
       << "steady-state software collectives performed " << (after.load() - before.load())
       << " global allocations over 64 iterations (pool misses: MU staging "
       << mu_staging.load() << ", MU service " << mu_service.load() << ", context stage "
-      << ctx_stage.load() << ")";
+      << ctx_stage.load() << ", CollState deposit pool " << coll_pool.load()
+      << "; CollState match slot table grew by " << coll_slots.load() << ")";
 }
 
 TEST_F(AllocSteadyState, RectangleBroadcastStreamingIsAllocationFree) {
@@ -307,6 +313,62 @@ TEST_F(AllocSteadyState, RectangleBroadcastStreamingIsAllocationFree) {
         << " (pool misses: MU staging " << mu_staging.load() << ", MU service "
         << mu_service.load() << ", context stage " << ctx_stage.load() << ")";
   }
+}
+
+/// Two nodes x two processes: the classroute collectives' node-local
+/// phase (shared-address math, master/peer copy-out) runs as well.
+class AllocSteadyStateClassroute : public AllocSteadyState {
+ protected:
+  AllocSteadyStateClassroute() : AllocSteadyState(2) {}
+};
+
+TEST_F(AllocSteadyStateClassroute, AllreduceIsAllocationFree) {
+  // Classroute allreduce: the 1 MB slice pipeline (engine rounds that
+  // accumulate in a master's recvbuf, peers copying out of it) and the
+  // 8 B single-round path. After warm-up the engine's presized round
+  // slots, the node group's staging and the published buffer slots are
+  // reused: nothing may reach the global allocator.
+  auto geom = world_.geometries().world_geometry();
+  ASSERT_TRUE(geom->optimized()) << "the world of 2x1x1x1x1 must hold a classroute";
+  constexpr std::size_t kLarge = (1u << 20) / sizeof(double);
+  std::atomic<std::uint64_t> before{0}, after{0};
+  std::atomic<int> wrong{0};
+  machine_.run_spmd([&](int task) {
+    Context& cx = ctx(task);
+    const double me = task + 1.0;  // the four tasks sum to 10
+    std::vector<double> in(kLarge), out(kLarge);
+    double small_in = 0, small_out = 0;
+    int op = 0;
+    auto pass = [&] {
+      for (int b = 0; b < 4; ++b, ++op) {
+        for (std::size_t e = 0; e < kLarge; ++e) in[e] = me * static_cast<double>(e % 5 + 1) + op;
+        coll::allreduce(cx, *geom, in.data(), out.data(), kLarge * sizeof(double),
+                        hw::CombineOp::Add, hw::CombineType::Double);
+        for (std::size_t e = 0; e < kLarge; ++e) {
+          if (out[e] != 10.0 * static_cast<double>(e % 5 + 1) + 4.0 * op) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+        for (int i = 0; i < 7; ++i) {
+          small_in = me * (i + 1);
+          coll::allreduce(cx, *geom, &small_in, &small_out, sizeof(double), hw::CombineOp::Add,
+                          hw::CombineType::Double);
+          if (small_out != 10.0 * (i + 1)) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      coll::barrier(cx, *geom);  // fences the snapshots below
+    };
+    pass();  // warm-up: staging, round slots, published slots
+    pass();
+    if (task == 0) before.store(allocations());
+    pass();  // measured
+    if (task == 0) after.store(allocations());
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(after.load() - before.load(), 0u)
+      << "steady-state classroute allreduce performed " << (after.load() - before.load())
+      << " global allocations over 4 x (1 MB + 7 x 8 B)";
 }
 
 TEST_F(AllocSteadyState, WorkQueuePostAdvanceIsAllocationFree) {

@@ -282,5 +282,54 @@ TEST(RdzvBackpressure, RtsEagainRollsBackAndRetries) {
   EXPECT_FALSE(rx.has_pending_state());
 }
 
+/// An RTS is one packet, so a header that cannot share it with RtsInfo is
+/// refused in every build: Invalid, no RTS counted, no send state held,
+/// and the context keeps working for the next sends.
+TEST(RdzvOversizeHeader, RefusedWithoutConsumingState) {
+  runtime::Machine machine(hw::TorusGeometry({2, 1, 1, 1, 1}), 1);
+  ClientConfig c;
+  c.contexts_per_task = 1;
+  c.eager_limit = 64;
+  ClientWorld world(machine, c);
+  Context& tx = world.client(0).context(0);
+  Context& rx = world.client(1).context(0);
+
+  const auto payload = pattern(1024, 3);
+  int delivered = 0;
+  std::vector<std::byte> buf(payload.size());
+  rx.set_dispatch(9, [&](Context&, const void*, std::size_t, const void*, std::size_t,
+                         std::size_t total, Endpoint, RecvDescriptor* recv) {
+    recv->buffer = buf.data();
+    recv->bytes = total;
+    recv->on_complete = [&] { ++delivered; };
+  });
+
+  const std::vector<std::byte> header(hw::kMaxPacketPayload, std::byte{0x11});
+  SendParams p;
+  p.dispatch = 9;
+  p.dest = Endpoint{1, 0};
+  p.header = header.data();
+  p.header_bytes = header.size();
+  p.data = payload.data();
+  p.data_bytes = payload.size();
+  bool remote_done = false;
+  p.on_remote_done = [&] { remote_done = true; };
+  ASSERT_EQ(tx.send(p), Result::Invalid);
+  EXPECT_EQ(tx.proto_obs(proto::ProtocolKind::Rdzv).pvars.get(obs::Pvar::RdzvRtsSent), 0u);
+  EXPECT_FALSE(tx.has_pending_state());
+
+  // A header that fits goes through, and its send state retires.
+  p.header_bytes = 16;
+  ASSERT_EQ(tx.send(p), Result::Success);
+  for (int i = 0; i < 500 && !remote_done; ++i) {
+    tx.advance();
+    rx.advance();
+  }
+  EXPECT_EQ(delivered, 1);
+  EXPECT_TRUE(remote_done);
+  EXPECT_EQ(buf, payload);
+  EXPECT_FALSE(tx.has_pending_state());
+}
+
 }  // namespace
 }  // namespace pamix::pami

@@ -185,5 +185,154 @@ TEST(CollectiveEngine, ConcurrentContributorsFromThreads) {
   for (auto& t : ts) t.join();
 }
 
+TEST(CollectiveEngine, FirstArriverDestHoldsFinalResult) {
+  // The first contributor's dest doubles as the round's accumulator; once
+  // the round completes it must hold the combined result like every other.
+  CollectiveNetworkEngine eng(3);
+  const std::vector<double> a{1, 2, 3}, b{10, 20, 30}, c{100, 200, 300};
+  std::vector<double> out_a(3, -1), out_b(3, -1), out_c(3, -1);
+  const std::vector<double> want{111, 222, 333};
+  eng.contribute_reduce(0, a.data(), 3 * sizeof(double), hw::CombineOp::Add,
+                        hw::CombineType::Double, out_a.data());
+  eng.contribute_reduce(0, b.data(), 3 * sizeof(double), hw::CombineOp::Add,
+                        hw::CombineType::Double, out_b.data());
+  auto t = eng.contribute_reduce(0, c.data(), 3 * sizeof(double), hw::CombineOp::Add,
+                                 hw::CombineType::Double, out_c.data());
+  EXPECT_TRUE(eng.done(t));
+  EXPECT_EQ(out_a, want);
+  EXPECT_EQ(out_b, want);
+  EXPECT_EQ(out_c, want);
+  EXPECT_EQ(a, (std::vector<double>{1, 2, 3}));  // contributions are only read
+}
+
+TEST(CollectiveEngine, InPlaceContributionsAtEveryPosition) {
+  // data == dest for the first (no copy: the buffer is the accumulator),
+  // a middle (combined into the accumulator, overwritten at the end) and
+  // the last contributor (combined block by block and written back).
+  CollectiveNetworkEngine eng(3);
+  std::vector<std::int64_t> x{1, 2, 3, 4}, y{5, 6, 7, 8}, z{9, 10, 11, 12};
+  const std::vector<std::int64_t> want{15, 18, 21, 24};
+  for (auto* v : {&x, &y, &z}) {
+    eng.contribute_reduce(0, v->data(), v->size() * sizeof(std::int64_t), hw::CombineOp::Add,
+                          hw::CombineType::Int64, v->data());
+  }
+  EXPECT_EQ(x, want);
+  EXPECT_EQ(y, want);
+  EXPECT_EQ(z, want);
+}
+
+TEST(CollectiveEngine, BroadcastRootWithoutDestArrivingFirst) {
+  CollectiveNetworkEngine eng(3);
+  std::vector<int> root_data{4, 5, 6};
+  std::vector<int> out_a(3), out_b(3);
+  eng.contribute_broadcast(0, true, root_data.data(), 3 * sizeof(int), nullptr);
+  root_data.assign({-1, -1, -1});  // consumed by the time the call returned
+  eng.contribute_broadcast(0, false, nullptr, 3 * sizeof(int), out_a.data());
+  auto t = eng.contribute_broadcast(0, false, nullptr, 3 * sizeof(int), out_b.data());
+  EXPECT_TRUE(eng.done(t));
+  EXPECT_EQ(out_a, (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(out_b, (std::vector<int>{4, 5, 6}));
+}
+
+TEST(CollectiveEngine, BroadcastRootWithoutDestArrivingLast) {
+  CollectiveNetworkEngine eng(3);
+  const std::vector<int> root_data{7, 8, 9};
+  std::vector<int> out_a(3), out_b(3);
+  eng.contribute_broadcast(0, false, nullptr, 3 * sizeof(int), out_a.data());
+  eng.contribute_broadcast(0, false, nullptr, 3 * sizeof(int), out_b.data());
+  auto t = eng.contribute_broadcast(0, true, root_data.data(), 3 * sizeof(int), nullptr);
+  EXPECT_TRUE(eng.done(t));
+  EXPECT_EQ(out_a, root_data);
+  EXPECT_EQ(out_b, root_data);
+}
+
+TEST(CollectiveEngine, FourWayReduceWithPartialFanoutBlock) {
+  // 64 KB plus a tail that is not a multiple of the 4 KB fan-out block:
+  // every element of every dest must hold the sum, the tail included.
+  constexpr std::size_t kElems = (64 * 1024 + 8 * 123) / sizeof(double);
+  CollectiveNetworkEngine eng(4);
+  std::vector<std::vector<double>> ins(4, std::vector<double>(kElems));
+  std::vector<std::vector<double>> outs(4, std::vector<double>(kElems, -1.0));
+  for (std::size_t n = 0; n < 4; ++n) {
+    for (std::size_t i = 0; i < kElems; ++i) {
+      ins[n][i] = static_cast<double>(n * 100000 + i);
+    }
+  }
+  for (std::size_t n = 0; n < 4; ++n) {
+    eng.contribute_reduce(0, ins[n].data(), kElems * sizeof(double), hw::CombineOp::Add,
+                          hw::CombineType::Double, outs[n].data());
+  }
+  for (std::size_t n = 0; n < 4; ++n) {
+    for (std::size_t i = 0; i < kElems; ++i) {
+      ASSERT_EQ(outs[n][i], static_cast<double>(600000 + 4 * i)) << "dest " << n << " elem " << i;
+    }
+  }
+}
+
+TEST(CollectiveEngine, TwoThreadsPipelineRoundsInFlight) {
+  // Two contributors, each reusing one staging buffer (a contribution is
+  // consumed by return), keep up to 8 rounds of 64 KB in flight; rounds
+  // complete on either thread, and every element of every dest is checked.
+  constexpr std::uint64_t kRounds = 32;
+  constexpr std::uint64_t kInflight = 8;
+  constexpr std::size_t kElems = 64 * 1024 / sizeof(std::uint64_t);
+  CollectiveNetworkEngine eng(2);
+  std::vector<std::vector<std::uint64_t>> dests(2 * kRounds,
+                                                std::vector<std::uint64_t>(kElems));
+  auto run = [&](std::uint64_t t) {
+    std::vector<std::uint64_t> stage(kElems);
+    std::vector<CollectiveNetworkEngine::Ticket> tickets;
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      if (r >= kInflight) {
+        while (!eng.done(tickets[r - kInflight])) std::this_thread::yield();
+      }
+      for (std::size_t i = 0; i < kElems; ++i) stage[i] = (t + 1) * (r + 1) * 1000000 + i;
+      tickets.push_back(eng.contribute_reduce(r, stage.data(), kElems * sizeof(std::uint64_t),
+                                              hw::CombineOp::Add, hw::CombineType::Uint64,
+                                              dests[t * kRounds + r].data()));
+    }
+    for (const auto& tk : tickets) {
+      while (!eng.done(tk)) std::this_thread::yield();
+    }
+  };
+  std::thread other(run, 1);
+  run(0);
+  other.join();
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      const auto& d = dests[t * kRounds + r];
+      for (std::size_t i = 0; i < kElems; ++i) {
+        ASSERT_EQ(d[i], 3 * (r + 1) * 1000000 + 2 * i) << "thread " << t << " round " << r;
+      }
+    }
+  }
+}
+
+TEST(CollectiveEngineDeathTest, MoreThan64RoundsInFlightAborts) {
+  // Round r shares a ring slot with round r-64: reaching it while round
+  // r-64 still waits for a contributor is a broken pipeline bound, and it
+  // must fail loudly rather than corrupt the older round.
+  CollectiveNetworkEngine eng(2);
+  double in = 1.0, out = 0.0;
+  EXPECT_DEATH(
+      {
+        for (std::uint64_t round = 0; round <= 64; ++round) {
+          eng.contribute_reduce(round, &in, sizeof(double), hw::CombineOp::Add,
+                                hw::CombineType::Double, &out);
+        }
+      },
+      "more than 64 rounds in flight");
+}
+
+TEST(CollectiveEngineDeathTest, SecondContributionToFinishedRoundAborts) {
+  CollectiveNetworkEngine eng(1);
+  double in = 1.0, out = 0.0;
+  eng.contribute_reduce(0, &in, sizeof(double), hw::CombineOp::Add, hw::CombineType::Double,
+                        &out);
+  EXPECT_DEATH(eng.contribute_reduce(0, &in, sizeof(double), hw::CombineOp::Add,
+                                     hw::CombineType::Double, &out),
+               "already-completed round");
+}
+
 }  // namespace
 }  // namespace pamix::runtime
