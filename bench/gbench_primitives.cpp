@@ -210,8 +210,13 @@ BENCHMARK(BM_Obs_TraceRecord);
 
 void BM_Obs_TraceRecordDisabled(benchmark::State& state) {
   // What instrumented code pays when tracing is off (the common case).
+  // The clobber makes each call re-read the ring's state, as a call site
+  // between other work does; without it the whole loop folds away.
   obs::TraceRing ring;
-  for (auto _ : state) ring.record(obs::TraceEv::SendEagerBegin, 42);
+  for (auto _ : state) {
+    ring.record(obs::TraceEv::SendEagerBegin, 42);
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Obs_TraceRecordDisabled);
@@ -405,6 +410,20 @@ void BM_EagerRoundTrip64B(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EagerRoundTrip64B);
+
+void BM_ContextAdvanceIdle(benchmark::State& state) {
+  // One advance pass that finds nothing: the inner loop of every wait.
+  // Default config, so the context owns 8 injection FIFOs.
+  runtime::Machine machine(hw::TorusGeometry({2, 1, 1, 1, 1}), 1);
+  pami::ClientWorld world(machine, pami::ClientConfig{});
+  pami::Context& ctx = world.client(0).context(0);
+  ctx.advance();  // first pass outside the timed loop
+  std::size_t events = 0;
+  for (auto _ : state) events += ctx.advance();
+  benchmark::DoNotOptimize(events);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContextAdvanceIdle);
 
 }  // namespace
 

@@ -14,14 +14,17 @@
 #              run under the race detector; so do the commthread stress
 #              tests (incl. the rendezvous waitall vs idle-sweep race),
 #              the BufferPool reclaim-stack and teardown races, the
-#              zero-allocation steady-state suite, all of test_hw and
+#              zero-allocation steady-state suite, all of test_hw,
 #              the collective-network engine (per-round locks, rounds
-#              pipelined from two threads)
+#              pipelined from two threads), and the idle-advance tests
+#              (the MU backlog mask and the shm staged count, both read
+#              by commthread sleep checks while their owner writes them)
 #   bench-smoke — build the obs-on tree and run fig5 with a tiny message
 #              count under PAMIX_BENCH_STRICT_ALLOC: any steady-state pool
 #              miss (a zero-allocation fast-path regression) fails the run;
 #              then the fast-path microbenches, incl. the per-release
-#              (BufferPool) and per-packet (MuInject) costs
+#              (BufferPool), per-packet (MuInject) and idle advance pass
+#              (ContextAdvanceIdle) costs
 #   coll-smoke — run the collective harnesses (fig7 allreduce, fig9 bcast)
 #              with tiny iteration counts under PAMIX_BENCH_STRICT_ALLOC:
 #              verifies data, the software-path zero-alloc steady state,
@@ -89,13 +92,14 @@ for flavor in "${flavors[@]}"; do
       echo "==> [sanitize-thread] TSan build + threaded endpoint/matching stress"
       cmake -B "${prefix}-tsan" -S . -DCMAKE_BUILD_TYPE=Release -DPAMIX_SANITIZE=thread
       cmake --build "${prefix}-tsan" -j "${jobs}" \
-        --target test_mpi test_core test_alloc_steadystate test_hw test_runtime
+        --target test_mpi test_core test_alloc_steadystate test_hw test_runtime test_proto
       "${prefix}-tsan/tests/test_mpi" \
         --gtest_filter='MpiEndpoints.*:RequestPoolEndpoints.*:MatcherEndpoints.*:*Threading*:*MatchStress*:*Stress*'
       "${prefix}-tsan/tests/test_core" --gtest_filter='BufferPool*'
       "${prefix}-tsan/tests/test_alloc_steadystate" --gtest_filter='AllocSteadyState*'
       "${prefix}-tsan/tests/test_hw"
-      "${prefix}-tsan/tests/test_runtime" --gtest_filter='CollectiveEngine*' ;;
+      "${prefix}-tsan/tests/test_runtime" --gtest_filter='CollectiveEngine*'
+      "${prefix}-tsan/tests/test_proto" --gtest_filter='InjectionBacklog*:IdleAdvance*' ;;
     bench-smoke)
       echo "==> [bench-smoke] fig5 strict-alloc gate + fast-path microbenches"
       cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release
@@ -104,7 +108,7 @@ for flavor in "${flavors[@]}"; do
         PAMIX_FIG5_MSGS=2000 PAMIX_BENCH_STRICT_ALLOC=1 ./bench/fig5_message_rate )
       test -s "${prefix}/BENCH_fig5.json"
       "${prefix}/bench/gbench_primitives" \
-        --benchmark_filter='InlineFn|BufferPool|WorkQueue_PostAdvance|EagerRoundTrip|MuInject' \
+        --benchmark_filter='InlineFn|BufferPool|WorkQueue_PostAdvance|EagerRoundTrip|MuInject|ContextAdvanceIdle' \
         --benchmark_min_time=0.05 ;;
     coll-smoke)
       echo "==> [coll-smoke] fig7/fig9 collective pipeline + strict-alloc gate"

@@ -405,6 +405,7 @@ void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* r
   if (S == 0) S = elem;
   const std::size_t nslices = (bytes + S - 1) / S;
   const bool overlap = tuning().overlap;
+  const bool tracing = ctx.obs().trace.enabled();  // spans read the clock only then
 
   // Counter bases, captured before the entry barrier: the previous op's
   // exit barrier quiesced the counters, and every increment of this op
@@ -442,7 +443,7 @@ void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* r
         const std::size_t off = next_copy * S;
         const std::size_t slice = std::min(S, bytes - off);
         const bool overlapped = in_flight();
-        const std::uint64_t t0 = obs::now_ns();
+        const std::uint64_t t0 = tracing ? obs::now_ns() : 0;
         const std::byte* src = peer_read(ctx, grp.master_task,
                                          static_cast<const std::byte*>(mbuf) + off, slice);
         std::memcpy(static_cast<std::byte*>(recvbuf) + off, src, slice);
@@ -471,7 +472,7 @@ void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* r
     // sub-range of the slice across all local contribution buffers —
     // concurrently with the previous slice's network round (Figure 4).
     const bool overlapped = in_flight();
-    const std::uint64_t t0 = obs::now_ns();
+    const std::uint64_t t0 = tracing ? obs::now_ns() : 0;
     std::size_t sub_bytes = 0;
     {
       const std::size_t elems = slice / elem;
@@ -555,6 +556,7 @@ void broadcast_optimized(Context& ctx, Geometry& g, std::size_t root_rank, void*
   const std::size_t S = tuning().slice_bytes;
   const std::size_t nslices = (bytes + S - 1) / S;  // 0 when bytes == 0
   const bool overlap = tuning().overlap;
+  const bool tracing = ctx.obs().trace.enabled();  // spans read the clock only then
   const std::uint64_t done0 = grp.net_done.load(std::memory_order_acquire);
 
   if (my_task == root_task) grp.root_slot.publish(buffer);
@@ -599,7 +601,7 @@ void broadcast_optimized(Context& ctx, Geometry& g, std::size_t root_rank, void*
       const std::size_t slice = std::min(S, bytes - off);
       const bool overlapped = grp.armed.load(std::memory_order_acquire) >
                               grp.net_done.load(std::memory_order_acquire);
-      const std::uint64_t t0 = obs::now_ns();
+      const std::uint64_t t0 = tracing ? obs::now_ns() : 0;
       const std::byte* psrc =
           peer_read(ctx, grp.master_task, static_cast<const std::byte*>(mbuf) + off, slice);
       std::memcpy(static_cast<std::byte*>(buffer) + off, psrc, slice);
@@ -1084,7 +1086,7 @@ void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void*
               if (!window_open) break;
               const std::uint32_t k = rc.fwd_next;
               const std::size_t clen = std::min(C, rc.len - static_cast<std::size_t>(k) * C);
-              const std::uint64_t t0 = obs::now_ns();
+              const std::uint64_t t0 = ctx.obs().trace.enabled() ? obs::now_ns() : 0;
               for (const RectTrees::Kid& kid : *kids) {
                 send_coll(ctx, g, seq, phase,
                           *g.rank_of(g.node_group(kid.node).master_task),

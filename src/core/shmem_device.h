@@ -136,11 +136,16 @@ class ShmQueue {
 /// packets destined to other contexts are parked in per-context staging
 /// (so the single process queue never head-of-line-blocks a context), and
 /// handlers always run outside the router lock.
+///
+/// Each context's staging size is mirrored in an atomic count, so an
+/// advance that finds the queue empty and nothing staged returns without
+/// the router lock, and the commthread sleep check idle(ctx) never takes it.
 class ShmDevice {
  public:
   ShmDevice(int context_count, std::size_t queue_capacity, hw::WakeupUnit* wakeup)
       : queue_(queue_capacity, wakeup),
         staging_(static_cast<std::size_t>(context_count)),
+        staged_(static_cast<std::size_t>(context_count)),
         drain_(static_cast<std::size_t>(context_count)) {}
 
   ShmQueue& queue() { return queue_; }
@@ -155,21 +160,31 @@ class ShmDevice {
   /// steady-state drain performs no allocation.
   template <typename Handler>
   std::size_t advance(std::int16_t ctx, Handler&& handle) {
-    std::vector<ShmPacket> mine = std::move(drain_[static_cast<std::size_t>(ctx)]);
+    const auto c = static_cast<std::size_t>(ctx);
+    // Idle pass: a packet a sibling is routing to us right now shows up in
+    // the staged count when it finishes, and the next pass takes it.
+    if (queue_.empty() && staged_[c].n.load(std::memory_order_acquire) == 0) return 0;
+    std::vector<ShmPacket> mine = std::move(drain_[c]);
     mine.clear();
     {
       std::lock_guard<hw::L2AtomicMutex> g(router_mutex_);
+      // Raised before the first pop: idle(ctx) of a context whose packet
+      // is between the queue and its staging must not read "idle".
+      routing_.store(true, std::memory_order_relaxed);
       ShmPacket pkt;
       while (queue_.pop(pkt)) {
         const auto dest = static_cast<std::size_t>(pkt.dest_context);
         staging_[dest].push_back(std::move(pkt));
+        staged_[dest].n.store(staging_[dest].size(), std::memory_order_relaxed);
       }
-      staging_[static_cast<std::size_t>(ctx)].swap(mine);
+      staging_[c].swap(mine);
+      staged_[c].n.store(0, std::memory_order_relaxed);
+      routing_.store(false, std::memory_order_release);
     }
     for (ShmPacket& p : mine) handle(std::move(p));
     const std::size_t n = mine.size();
     mine.clear();
-    drain_[static_cast<std::size_t>(ctx)] = std::move(mine);
+    drain_[c] = std::move(mine);
     return n;
   }
 
@@ -179,16 +194,29 @@ class ShmDevice {
   /// a sibling context's advance already routed into this context's
   /// staging. The queue-only idle() misses staged packets, which would let
   /// a commthread sleep on work that no wakeup write will ever announce.
+  ///
+  /// Lock-free. Order matters: a queue that reads empty because a router
+  /// popped our packet makes that router's routing_ raise visible, so we
+  /// read either the raise or its release, which publishes the count.
   bool idle(std::int16_t ctx) const {
     if (!queue_.empty()) return false;
-    std::lock_guard<hw::L2AtomicMutex> g(router_mutex_);
-    return staging_[static_cast<std::size_t>(ctx)].empty();
+    if (routing_.load(std::memory_order_acquire)) return false;
+    return staged_[static_cast<std::size_t>(ctx)].n.load(std::memory_order_acquire) == 0;
   }
 
  private:
+  struct alignas(64) StagedCount {
+    std::atomic<std::size_t> n{0};
+  };
+
   ShmQueue queue_;
-  mutable hw::L2AtomicMutex router_mutex_;
+  hw::L2AtomicMutex router_mutex_;
+  // A router holds router_mutex_ and may have popped packets it has not
+  // yet counted into staged_.
+  std::atomic<bool> routing_{false};
   std::vector<std::vector<ShmPacket>> staging_;  // guarded by router_mutex_
+  // staging_[i].size(), written under router_mutex_, read lock-free.
+  std::vector<StagedCount> staged_;
   // Per-context drain scratch, touched only by that context's advancer.
   std::vector<std::vector<ShmPacket>> drain_;
 };

@@ -122,17 +122,11 @@ std::uint64_t MessagingUnit::staging_pool_misses() const {
 }
 
 MessagingUnit::PendingInj& MessagingUnit::pending_slot(int fifo_idx) {
-  // Created on first use by the FIFO's single owning context; same
-  // ownership argument as inj_pool() below.
+  // Created by the FIFO's single owning context (prepare_injection() or
+  // first advance); same ownership argument as inj_pool() above.
   auto& p = pending_[static_cast<std::size_t>(fifo_idx)];
   if (p == nullptr) p = std::make_unique<PendingInj>();
   return *p;
-}
-
-int MessagingUnit::advance_injection(const std::vector<int>& fifo_indices) {
-  int injected = 0;
-  for (int idx : fifo_indices) injected += advance_injection(idx);
-  return injected;
 }
 
 int MessagingUnit::advance_injection(int idx) {

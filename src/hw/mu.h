@@ -346,13 +346,23 @@ class MessagingUnit {
   InjFifo& inj_fifo(int idx) { return *inj_[static_cast<std::size_t>(idx)]; }
   RecFifo& rec_fifo(int idx) { return *rec_[static_cast<std::size_t>(idx)]; }
 
-  /// Run the message engines over a set of injection FIFOs: pop
-  /// descriptors, packetize, transmit. Returns the number of descriptors
-  /// fully injected. The caller (context advance or MU engine thread)
-  /// supplies only the FIFOs it owns.
-  int advance_injection(const std::vector<int>& fifo_indices);
-  /// Single-FIFO variant for the send fast path (no container built).
+  /// Run the message engine over one injection FIFO: resume a descriptor
+  /// backpressured mid-message, then pop descriptors, packetize, transmit.
+  /// Returns the number of descriptors fully injected. The caller (context
+  /// advance or MU engine thread) supplies only FIFOs it owns.
   int advance_injection(int fifo_idx);
+
+  /// Create injection FIFO `fifo_idx`'s resume slot now rather than on its
+  /// first advance, so a context that claims the FIFO at construction
+  /// never allocates for it on the send path (owner context only).
+  void prepare_injection(int fifo_idx) { pending_slot(fifo_idx); }
+
+  /// FIFO `fifo_idx` still holds work for its message engine: a queued
+  /// descriptor, or one backpressured mid-message. Owner context only.
+  bool injection_backlogged(int fifo_idx) const {
+    const auto i = static_cast<std::size_t>(fifo_idx);
+    return (pending_[i] != nullptr && pending_[i]->active) || !inj_[i]->empty();
+  }
 
   /// Network-side delivery entry point: dispatch a burst cut from one
   /// descriptor by its type, with one FIFO lock, one counter update and
@@ -405,9 +415,10 @@ class MessagingUnit {
   // Descriptors whose transmit was backpressured mid-message, resumed on the
   // next advance. One slot per injection FIFO (hardware keeps the partially
   // processed descriptor at the FIFO head likewise). Slots are allocated
-  // lazily by the FIFO's single owning context, like inj_pools_ below —
-  // a full descriptor-sized slot per never-used FIFO is real memory at
-  // 4096 simulated nodes.
+  // by the FIFO's single owning context — at its construction through
+  // prepare_injection(), or else on first advance — never for the whole
+  // node up front: a full descriptor-sized slot per never-used FIFO is
+  // real memory at 4096 simulated nodes.
   struct PendingInj {
     MuDescriptor desc;
     std::size_t off = 0;

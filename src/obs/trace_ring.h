@@ -6,7 +6,8 @@
 // and the lock's ordering publishes them). record() is a bounds-check, a
 // category-mask test, one clock read and one array store — no atomics, no
 // allocation — and the ring overwrites its oldest events when full, so a
-// long run keeps the most recent window.
+// long run keeps the most recent window. A disabled ring costs one load:
+// the check comes before the clock read.
 //
 // Readers (the exporter) run after the traced threads have quiesced
 // (benches export after stop()/finalize()); the ring makes no attempt to
@@ -99,11 +100,16 @@ class TraceRing {
 
   bool enabled() const { return !ring_.empty(); }
 
-  /// Single-writer append of an instant event.
-  void record(TraceEv ev, std::uint32_t arg = 0) { record_at(ev, now_ns(), 0, arg); }
+  /// Single-writer append of an instant event. A disabled ring returns
+  /// before reading the clock.
+  void record(TraceEv ev, std::uint32_t arg = 0) {
+    if (enabled()) record_at(ev, now_ns(), 0, arg);
+  }
 
   /// Single-writer append of a span that started at `start_ns` and ends now.
+  /// Callers take `start_ns` only when enabled(); a disabled ring ignores it.
   void record_span(TraceEv ev, std::uint64_t start_ns, std::uint32_t arg = 0) {
+    if (!enabled()) return;
     const std::uint64_t end = now_ns();
     const std::uint64_t dur = end > start_ns ? end - start_ns : 0;
     record_at(ev, start_ns, dur > UINT32_MAX ? UINT32_MAX : static_cast<std::uint32_t>(dur),

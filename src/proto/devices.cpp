@@ -1,5 +1,8 @@
 #include "proto/devices.h"
 
+#include <bit>
+#include <cassert>
+
 #include "proto/progress_engine.h"
 
 namespace pamix::proto {
@@ -19,6 +22,7 @@ std::size_t WorkQueueDevice::poll() {
 }
 
 std::size_t ControlDevice::poll() {
+  if (pending_.empty()) return 0;
   std::size_t sent = 0;
   while (!pending_.empty()) {
     auto& [node, desc] = pending_.front();
@@ -32,12 +36,56 @@ std::size_t ControlDevice::poll() {
   return sent;
 }
 
+MuDevice::MuDevice(ProgressEngine& engine, hw::MessagingUnit& mu, int first_inj_fifo,
+                   int inj_fifos, int rec_fifo, obs::Domain& obs, int batch)
+    : engine_(engine), mu_(mu), first_inj_(first_inj_fifo), inj_count_(inj_fifos),
+      rec_fifo_(rec_fifo), obs_(obs), batch_(static_cast<std::size_t>(batch < 1 ? 1 : batch)) {
+  assert(inj_fifos >= 1 && inj_fifos <= kMaxInjFifos);
+  for (int j = 0; j < inj_count_; ++j) mu_.prepare_injection(first_inj_ + j);
+}
+
+void MuDevice::update_backlog(int fifo) {
+  const std::uint64_t bit = std::uint64_t{1} << (fifo - first_inj_);
+  const std::uint64_t mask = backlog_.load(std::memory_order_relaxed);
+  const std::uint64_t next = mu_.injection_backlogged(fifo) ? mask | bit : mask & ~bit;
+  // Store only on change: commthreads read this word in their sleep check.
+  if (next != mask) backlog_.store(next, std::memory_order_relaxed);
+}
+
+bool MuDevice::push(int fifo, hw::MuDescriptor&& desc) {
+  assert(fifo >= first_inj_ && fifo < first_inj_ + inj_count_);
+  hw::InjFifo& f = mu_.inj_fifo(fifo);
+  // FIFO full: let the engine drain it once, then retry. (push leaves the
+  // descriptor intact on failure, so the second attempt — and the caller's
+  // own retry after Eagain — see it unchanged.)
+  bool pushed = f.push(std::move(desc));
+  if (!pushed) {
+    mu_.advance_injection(fifo);
+    pushed = f.push(std::move(desc));
+  }
+  // Kick the engine so the descriptor starts moving now; what it cannot
+  // inject is left to the backlog walk of later passes.
+  if (pushed) mu_.advance_injection(fifo);
+  update_backlog(fifo);
+  return pushed;
+}
+
 std::size_t MuDevice::poll_injection() {
-  return static_cast<std::size_t>(mu_.advance_injection(inj_fifos_));
+  std::size_t injected = 0;
+  // Snapshot, then re-read per FIFO: an injection-completion callback may
+  // push (and set bits) while the walk runs; a bit set that way is picked
+  // up by the next pass.
+  for (std::uint64_t bits = backlog_.load(std::memory_order_relaxed); bits != 0;
+       bits &= bits - 1) {
+    const int fifo = first_inj_ + std::countr_zero(bits);
+    injected += static_cast<std::size_t>(mu_.advance_injection(fifo));
+    update_backlog(fifo);
+  }
+  return injected;
 }
 
 std::size_t MuDevice::poll() {
-  std::size_t events = static_cast<std::size_t>(mu_.advance_injection(inj_fifos_));
+  std::size_t events = poll_injection();
   // A dispatched handler may advance the context re-entrantly, and batch_
   // is live in the outer frame then: the nested poll skips reception and
   // leaves the packets to the still-running outer drain.

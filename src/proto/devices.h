@@ -5,8 +5,8 @@
 //   ControlDevice   — re-injects must-not-drop control descriptors that
 //                     bounced off a saturated injection FIFO
 //   MuDevice        — runs the MU message engines over the context's
-//                     injection FIFOs and drains its reception FIFO,
-//                     routing packets back to the engine by flag bits
+//                     backlogged injection FIFOs and drains its reception
+//                     FIFO, routing packets back to the engine by flag bits
 //   ShmQueueDevice  — drains this context's slice of the process's
 //                     shared-memory reception queue
 //   CounterDevice   — polls outstanding MU reception counters (RDMA
@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -77,12 +78,20 @@ class ControlDevice final : public Device {
 /// The MU device: advances the message engines over this context's
 /// injection FIFOs and drains its reception FIFO (budgeted per pass),
 /// handing each packet to the engine's protocol router.
+///
+/// Injection keeps a backlog mask over the context's FIFOs: bit j is set
+/// while FIFO first + j holds a queued or half-injected descriptor. Every
+/// descriptor enters an owned FIFO through push(), which kicks the engine
+/// and sets the bit if work remains; poll() walks only the set bits and
+/// clears each once its FIFO drains. An idle pass therefore reads one word
+/// for injection, not every FIFO's ring and resume slot.
 class MuDevice final : public Device {
  public:
-  MuDevice(ProgressEngine& engine, hw::MessagingUnit& mu, std::vector<int> inj_fifos,
-           int rec_fifo, obs::Domain& obs, int batch)
-      : engine_(engine), mu_(mu), inj_fifos_(std::move(inj_fifos)), rec_fifo_(rec_fifo),
-        obs_(obs), batch_(static_cast<std::size_t>(batch < 1 ? 1 : batch)) {}
+  /// The mask has one bit per FIFO; contexts claim at most this many.
+  static constexpr int kMaxInjFifos = 64;
+
+  MuDevice(ProgressEngine& engine, hw::MessagingUnit& mu, int first_inj_fifo, int inj_fifos,
+           int rec_fifo, obs::Domain& obs, int batch);
 
   const char* name() const override { return "mu"; }
   std::size_t poll() override;
@@ -95,14 +104,31 @@ class MuDevice final : public Device {
   const void* wakeup_address() const override {
     return &mu_.rec_fifo(rec_fifo_).delivered_count();
   }
-  bool idle() const override { return mu_.rec_fifo(rec_fifo_).empty(); }
+  /// A backlogged FIFO is poll-only work (nothing signals that the remote
+  /// reception FIFO made room), so it keeps commthreads awake.
+  bool idle() const override {
+    return backlog_.load(std::memory_order_relaxed) == 0 && mu_.rec_fifo(rec_fifo_).empty();
+  }
+
+  /// Static per-destination FIFO pinning (see ProgressEngine::inj_fifo_for).
+  int fifo_for(int dest_node) const { return first_inj_ + dest_node % inj_count_; }
+  /// Push onto owned FIFO `fifo` and kick its engine; when the FIFO is
+  /// full, drain it once and retry. Consumes `desc` only on success.
+  bool push(int fifo, hw::MuDescriptor&& desc);
 
  private:
+  /// Set or clear FIFO `fifo`'s backlog bit from its current state.
+  void update_backlog(int fifo);
+
   ProgressEngine& engine_;
   hw::MessagingUnit& mu_;
-  std::vector<int> inj_fifos_;
+  int first_inj_;
+  int inj_count_;
   int rec_fifo_;
   obs::Domain& obs_;
+  /// Backlog mask. Written only by the advancing thread; atomic (relaxed)
+  /// because commthreads read it concurrently through idle().
+  std::atomic<std::uint64_t> backlog_{0};
   /// Reusable reception scratch: poll() drains up to batch_.size() packets
   /// from the rec FIFO in one lock acquisition (config.mu_batch), then
   /// dispatches them outside the FIFO structures. The vector is sized once

@@ -61,13 +61,13 @@ ProgressEngine::ProgressEngine(pami::Context& ctx, pami::Client& client, int off
       dispatch_(dispatch),
       obs_(ctx_obs),
       stage_pool_(&ctx_obs.pvars) {
-  // Claim this context's exclusive slice of the client's FIFO plan.
+  // Claim this context's exclusive slice of the client's FIFO plan: a
+  // contiguous run of injection FIFOs (at most the MU device's mask width)
+  // and one reception FIFO.
   const pami::FifoPlan& plan = client_.world().plan();
-  inj_fifos_.reserve(static_cast<std::size_t>(plan.sends_per_context()));
-  for (int j = 0; j < plan.sends_per_context(); ++j) {
-    inj_fifos_.push_back(plan.inj_fifo(client_.local_proc(), offset_, j));
-  }
-  rec_fifo_ = plan.rec_fifo(client_.local_proc(), offset_);
+  const int first_inj = plan.inj_fifo(client_.local_proc(), offset_, 0);
+  const int inj_count = std::min(plan.sends_per_context(), MuDevice::kMaxInjFifos);
+  const int rec_fifo = plan.rec_fifo(client_.local_proc(), offset_);
 
   // One pvar domain per protocol, children of the context's domain name.
   // No trace rings: send paths may run on application threads while a
@@ -93,7 +93,8 @@ ProgressEngine::ProgressEngine(pami::Context& ctx, pami::Client& client, int off
   hw::MessagingUnit& mu = client_.node().mu();
   work_dev_ = std::make_unique<WorkQueueDevice>(work_queue, obs_);
   control_dev_ = std::make_unique<ControlDevice>(*this);
-  mu_dev_ = std::make_unique<MuDevice>(*this, mu, inj_fifos_, rec_fifo_, obs_, cfg.mu_batch);
+  mu_dev_ = std::make_unique<MuDevice>(*this, mu, first_inj, inj_count, rec_fifo, obs_,
+                                       cfg.mu_batch);
   shm_dev_ = std::make_unique<ShmQueueDevice>(*this, client_.shm_device(),
                                               static_cast<std::int16_t>(offset_));
   counter_dev_ =
@@ -113,28 +114,10 @@ pami::Endpoint ProgressEngine::endpoint() const {
   return pami::Endpoint{client_.task(), static_cast<std::int16_t>(offset_)};
 }
 
-int ProgressEngine::inj_fifo_for(int dest_node) const {
-  return inj_fifos_[static_cast<std::size_t>(dest_node) % inj_fifos_.size()];
-}
+int ProgressEngine::inj_fifo_for(int dest_node) const { return mu_dev_->fifo_for(dest_node); }
 
 bool ProgressEngine::push_descriptor(int fifo, hw::MuDescriptor&& desc) {
-  hw::MessagingUnit& mu = client_.node().mu();
-  hw::InjFifo& f = mu.inj_fifo(fifo);
-  if (f.push(std::move(desc))) {
-    // Kick the MU engine so the descriptor starts moving now; remaining
-    // work continues on later advances.
-    mu.advance_injection(fifo);
-    return true;
-  }
-  // FIFO full: let the engine drain it once, then retry. (push leaves the
-  // descriptor intact on failure, so the second attempt — and the caller's
-  // own retry after Eagain — see it unchanged.)
-  mu.advance_injection(fifo);
-  if (f.push(std::move(desc))) {
-    mu.advance_injection(fifo);
-    return true;
-  }
-  return false;
+  return mu_dev_->push(fifo, std::move(desc));
 }
 
 void ProgressEngine::push_control(int dest_node, hw::MuDescriptor&& desc) {

@@ -163,8 +163,10 @@ class ProgressEngine {
   /// Static per-destination FIFO pinning: all traffic to one node uses one
   /// FIFO, which with deterministic routing preserves ordering (§III-E).
   int inj_fifo_for(int dest_node) const;
-  /// Consumes `desc` only on success (returns false with the caller's
-  /// descriptor intact when the FIFO stays saturated).
+  /// The one way a descriptor enters this context's injection FIFOs (it
+  /// keeps the MU device's backlog mask exact). Consumes `desc` only on
+  /// success (returns false with the caller's descriptor intact when the
+  /// FIFO stays saturated).
   bool push_descriptor(int fifo, hw::MuDescriptor&& desc);
   /// Park a must-not-drop control descriptor (DONE, ack, remote get) on
   /// the control device when the injection FIFO is saturated.
@@ -221,9 +223,6 @@ class ProgressEngine {
   int offset_;
   std::vector<pami::DispatchFn>& dispatch_;
   obs::Domain& obs_;
-
-  std::vector<int> inj_fifos_;
-  int rec_fifo_ = 0;
 
   std::uint64_t next_msg_seq_ = 1;
   std::uint64_t next_defer_handle_ = 1;
