@@ -6,9 +6,10 @@
 // lost wakeup (comm.sleep_timeouts — must stay 0), how much progress the
 // blocking callers stole for themselves, and how many sends stayed inline.
 //
-// Arm 0 (PAMIX_COMM_SPIN_US=0) is the legacy fixed sweep/sleep loop — the
-// before-arm of the A/B. The classic/SINGLE row is the no-commthread
-// reference the adaptive engine has to match (Table 2's acceptance bar).
+// Arm 0 (PAMIX_COMM_SPIN_US=0) is the same engine with no spin window: a
+// zero-event sweep goes straight to the wakeup-unit sleep. The
+// classic/SINGLE row is the no-commthread reference the adaptive engine
+// has to match (Table 2's acceptance bar).
 #include <cstdio>
 #include <cstdlib>
 
@@ -69,8 +70,8 @@ double pingpong_us(bool commthreads, int iters) {
 }
 
 /// Isend burst + waitall, ThreadOpt/MULTIPLE + commthreads: the
-/// rate-shaped workload — the adaptive engine keeps bursts inline on an
-/// oversubscribed host and the commthread backstops lock contention.
+/// rate-shaped workload — past a short inline streak, sends hand off to
+/// the commthread, which pipelines descriptor construction.
 double burst_rate_mmps(int msgs) {
   runtime::Machine machine(hw::TorusGeometry({2, 1, 1, 1, 1}), 1);
   mpi::MpiConfig cfg;
@@ -144,9 +145,8 @@ int main() {
   bench::JsonResult json;
   for (int spin : kSpins) {
     const ArmStats s = run_arm(spin, kIters, kMsgs);
-    const bool legacy = spin == 0;
     char name[32];
-    std::snprintf(name, sizeof(name), "spin=%dus%s", spin, legacy ? " (legacy)" : "");
+    std::snprintf(name, sizeof(name), "spin=%dus", spin);
     std::printf("%-18s %12.3f %12.2f %8llu %8llu %9llu %8llu %8llu %8llu\n", name,
                 s.pingpong_us, s.rate_mmps, static_cast<unsigned long long>(s.wakeups),
                 static_cast<unsigned long long>(s.sleeps),
@@ -162,9 +162,7 @@ int main() {
     std::snprintf(key, sizeof(key), "spin%d_sleep_timeouts", spin);
     json.add(key, s.timeouts);
     if (spin == 100) def = s;
-    // The legacy loop has no controller: its bounded-sleep expiries with
-    // work pending are the baseline pathology, not a regression signal.
-    if (!legacy) total_timeouts += s.timeouts;
+    total_timeouts += s.timeouts;
   }
   json.add("classic_single_us", classic_us);
   json.add("default_pingpong_us", def.pingpong_us);
@@ -174,11 +172,11 @@ int main() {
   json.add("sleep_timeouts", total_timeouts);
   json.write("BENCH_commthread.json");
 
-  std::printf("\n(Arm 0 is the legacy fixed sweep/sleep loop. The adaptive arms keep\n"
-              " the workers asleep on latency-shaped traffic — blocking callers\n"
-              " steal their own progress under a muted watch — so wakes stay flat\n"
-              " as the spin window grows, and every expiry-with-work-pending would\n"
-              " show up in the timeouts column.)\n");
+  std::printf("\n(Arm 0 has no spin window. Every arm keeps the workers asleep on\n"
+              " latency-shaped traffic — blocking callers steal their own progress\n"
+              " under a muted watch — so wakes stay flat as the spin window grows,\n"
+              " and every expiry-with-work-pending would show up in the timeouts\n"
+              " column.)\n");
 
   // Self-gates: the adaptive engine must not lose to the classic library
   // on its own latency workload (lenient margin: shared-host noise), and

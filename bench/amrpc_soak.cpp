@@ -24,7 +24,6 @@
 #include <cstring>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "am/engine.h"
@@ -50,16 +49,6 @@ constexpr int kNumSizes = static_cast<int>(sizeof(kSizes) / sizeof(kSizes[0]));
 constexpr int kBurstBatch = 256;  // one-way sends issued back-to-back
 constexpr int kBurstBatches = 4;
 
-/// Yield when an advance pass over both contexts did no work and the host
-/// is oversubscribed (fewer cores than task threads): a waited-for peer
-/// is probably not running, and burning the rest of this quantum only
-/// delays it. Same discipline as the blocking loops in hw/l2_atomics.h.
-void idle_pause(std::size_t work_done) {
-  if (work_done == 0 && hw::oversubscribed_hint().load(std::memory_order_relaxed)) {
-    std::this_thread::yield();
-  }
-}
-
 /// Spin barrier that keeps both of the task's contexts advancing while
 /// waiting, so servers keep serving during every rendezvous.
 class AdvanceBarrier {
@@ -68,8 +57,9 @@ class AdvanceBarrier {
     const int target = kTasks * (static_cast<int>(generation_.load()) + 1);
     if (arrivals_.fetch_add(1) + 1 == target) generation_.fetch_add(1);
     const std::uint32_t gen = static_cast<std::uint32_t>(target / kTasks);
+    hw::Waiter waiter;
     while (generation_.load(std::memory_order_acquire) < gen) {
-      idle_pause(a.advance() + b.advance());
+      waiter.step(a.advance() + b.advance());
     }
   }
 
@@ -136,7 +126,8 @@ int main() {
         burst_received.fetch_add(1, std::memory_order_relaxed);
       });
     }
-    auto advance_both = [&] { idle_pause(c0.advance() + c1.advance()); };
+    hw::Waiter waiter;
+    auto advance_both = [&] { waiter.step(c0.advance() + c1.advance()); };
 
     // Payload large enough for the biggest size class; contents don't matter.
     std::vector<std::byte> payload(kSizes[kNumSizes - 1]);

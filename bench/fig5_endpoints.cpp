@@ -37,7 +37,7 @@ using namespace pamix;
 
 /// Raw PAMI reference, measured under the same host conditions as the
 /// endpoint arm: a sender thread driving context 0 and a receiver thread
-/// advancing context 1, same yield discipline on backpressure, and the
+/// advancing context 1, same wait discipline on backpressure, and the
 /// same 16-byte header every MPI message carries as its match envelope.
 /// (fig5's single-threaded headerless phase is the absolute transport
 /// ceiling; for a gap ratio against MPI it would undercount both the
@@ -53,18 +53,17 @@ double host_pami_rate_mmps(int msgs) {
     received.fetch_add(1, std::memory_order_relaxed);
   });
   std::thread rx([&] {
-    while (received.load(std::memory_order_relaxed) < msgs) {
-      if (c1.advance() == 0) std::this_thread::yield();
-    }
+    hw::Waiter waiter;
+    while (received.load(std::memory_order_relaxed) < msgs) waiter.step(c1.advance());
   });
   mpi::Envelope header;  // same header bytes the MPI arms pay per message
   bench::Stopwatch sw;
-  std::uint32_t tries = 0;
+  hw::Waiter waiter;
   for (int i = 0; i < msgs; ++i) {
     header.seq = static_cast<std::uint32_t>(i);
     while (c0.send_immediate(1, pami::Endpoint{1, 0}, &header, sizeof(header), nullptr, 0) !=
            pami::Result::Success) {
-      if ((++tries & 63) == 0) std::this_thread::yield();
+      waiter.pause();
     }
   }
   // Keep advancing injection while draining: the last send can leave a
@@ -73,7 +72,7 @@ double host_pami_rate_mmps(int msgs) {
   // message never leaves the node and both threads spin forever.
   while (received.load(std::memory_order_relaxed) < msgs) {
     c0.advance_injection();
-    std::this_thread::yield();
+    waiter.pause();
   }
   const double mmps = msgs / sw.elapsed_us();
   rx.join();

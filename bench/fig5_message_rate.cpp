@@ -226,13 +226,6 @@ int main() {
   const auto comm_delta = comm_phase.delta();
   comm_phase.report("MPI commthread-handoff phase");
 
-  // A/B before-arm: the legacy fixed sweep/sleep commthread loop
-  // (PAMIX_COMM_SPIN_US=0) on the same workload — no adaptive controller,
-  // no steal-window muting, no inline arm.
-  ::setenv("PAMIX_COMM_SPIN_US", "0", 1);
-  const double mpi_host_ct_legacy = host_mpi_rate_mmps(false, kMpiMsgs, /*commthreads=*/true);
-  ::unsetenv("PAMIX_COMM_SPIN_US");
-
   // Matching-engine A/B: same deep-posted-queue workload, 4 contexts,
   // list (the paper's serialized queue) vs hashed bins.
   const int kDepth = std::min(kMpiMsgs, 1024);
@@ -248,15 +241,10 @@ int main() {
   std::printf("  MPI isend/irecv rate     : %8.2f Mmsg/s\n", mpi_host);
   std::printf("  MPI with ANY_SOURCE      : %8.2f Mmsg/s\n", mpi_host_wc);
   std::printf("  MPI with commthreads     : %8.2f Mmsg/s\n", mpi_host_ct);
-  std::printf("  MPI commthreads (legacy) : %8.2f Mmsg/s  (PAMIX_COMM_SPIN_US=0 before-arm)\n",
-              mpi_host_ct_legacy);
   std::printf("  shape: PAMI > MPI: %s; wildcard <= source-ranked: %s\n",
               pami_host > mpi_host ? "OK" : "UNEXPECTED",
               mpi_host_wc <= mpi_host * 1.10 ? "OK" : "UNEXPECTED");
-  std::printf("  progress engine A/B: adaptive %.2f vs legacy %.2f (%.2fx); "
-              "commthreads > single-thread: %s\n",
-              mpi_host_ct, mpi_host_ct_legacy,
-              mpi_host_ct_legacy > 0 ? mpi_host_ct / mpi_host_ct_legacy : 0.0,
+  std::printf("  progress engine: commthreads > single-thread: %s\n",
               mpi_host_ct > mpi_host ? "OK" : "MISS");
 
   std::printf("\nMatching engine A/B (4 contexts, %d-deep posted queue x %d rounds):\n",
@@ -297,13 +285,10 @@ int main() {
   json.add("mpi_mmps", mpi_host);
   json.add("mpi_wildcard_mmps", mpi_host_wc);
   json.add("mpi_commthread_mmps", mpi_host_ct);
-  // Key deliberately avoids the *_mmps regression-check pattern: the
-  // legacy arm is a frozen before-reference (Mmsg/s), not a guarded rate.
-  json.add("mpi_commthread_legacy_rate", mpi_host_ct_legacy);
-  // Progress-engine telemetry for the adaptive commthread phase: bursts
-  // stay inline on an oversubscribed host (comm.inline_sends ~ messages),
-  // blocking waits steal progress (comm.steals), and the bounded sleep
-  // never has to rescue a lost wakeup (comm.sleep_timeouts ~ 0).
+  // Progress-engine telemetry for the commthread phase: short isend
+  // streaks stay inline (comm.inline_sends), blocking waits steal progress
+  // (comm.steals), and the bounded sleep never has to rescue a lost
+  // wakeup (comm.sleep_timeouts ~ 0).
   json.add("comm.wakeups", comm_delta[obs::Pvar::CommWakeups]);
   json.add("comm.sleeps", comm_delta[obs::Pvar::CommSleeps]);
   json.add("comm.spin_iters", comm_delta[obs::Pvar::CommSpinIters]);

@@ -273,8 +273,9 @@ void BM_BufferPool_CrossThreadRelease(benchmark::State& state) {
   // consumer's side of MU staging), so each item is one cross-thread
   // release — one CAS onto the reclaim stack — plus the owner's share of
   // an exchange-drain. A bounded ring hands the blocks over; both sides
-  // yield while they wait, since a fresh thread often starts on its
-  // spinning parent's CPU and would otherwise wait for the load balancer.
+  // wait through a hw::Waiter, whose yield matters here: a fresh thread
+  // often starts on its spinning parent's CPU and would otherwise wait
+  // for the load balancer.
   obs::PvarSet pvars;
   core::BufferPool pool(&pvars);
   constexpr std::size_t kRing = 256;
@@ -284,15 +285,17 @@ void BM_BufferPool_CrossThreadRelease(benchmark::State& state) {
   std::atomic<bool> stop{false};
   std::thread releaser([&] {
     std::uint64_t h = 0;
+    hw::Waiter waiter;
     for (;;) {
       const std::uint64_t t = tail.load(std::memory_order_acquire);
       if (h == t) {
         if (stop.load(std::memory_order_acquire) && h == tail.load(std::memory_order_acquire)) {
           break;
         }
-        std::this_thread::yield();
+        waiter.pause();
         continue;
       }
+      waiter.reset();
       for (; h < t; ++h) {
         benchmark::DoNotOptimize(ring[h % kRing].data());
         ring[h % kRing].reset();
@@ -301,8 +304,10 @@ void BM_BufferPool_CrossThreadRelease(benchmark::State& state) {
     }
   });
   std::uint64_t t = 0;
+  hw::Waiter waiter;
   for (auto _ : state) {
-    while (t - head.load(std::memory_order_acquire) >= kRing) std::this_thread::yield();
+    while (t - head.load(std::memory_order_acquire) >= kRing) waiter.pause();
+    waiter.reset();
     ring[t % kRing] = pool.acquire(512);
     tail.store(++t, std::memory_order_release);
   }

@@ -112,14 +112,6 @@ int main() {
   const double t_comm =
       host_mpi_pingpong_us(mpi::Library::ThreadOptimized, mpi::ThreadLevel::Multiple, true,
                            kIters);
-  // A/B before-arm: PAMIX_COMM_SPIN_US=0 selects the legacy fixed
-  // sweep/sleep commthread loop (no adaptive controller, no steal-window
-  // muting on the contexts, no doorbell). Same workload, same build.
-  ::setenv("PAMIX_COMM_SPIN_US", "0", 1);
-  const double t_comm_legacy =
-      host_mpi_pingpong_us(mpi::Library::ThreadOptimized, mpi::ThreadLevel::Multiple, true,
-                           kIters);
-  ::unsetenv("PAMIX_COMM_SPIN_US");
   bench::columns("library / thread mode", "host (us)", "");
   std::printf("%-28s %14.3f\n", "Classic / SINGLE", c_single);
   std::printf("%-28s %14.3f\n", "Classic / MULTIPLE", c_multi);
@@ -127,14 +119,10 @@ int main() {
   std::printf("%-28s %14.3f\n", "ThreadOpt / SINGLE", t_single);
   std::printf("%-28s %14.3f\n", "ThreadOpt / MULTIPLE", t_multi);
   std::printf("%-28s %14.3f\n", "ThreadOpt / MULTIPLE +comm", t_comm);
-  std::printf("%-28s %14.3f  (PAMIX_COMM_SPIN_US=0 before-arm)\n",
-              "ThreadOpt / +comm legacy", t_comm_legacy);
   std::printf("\nShape checks: classic SINGLE fastest: %s; MULTIPLE adds lock cost: %s\n",
               (c_single <= t_single * 1.25) ? "OK" : "differs on host",
               (c_multi >= c_single * 0.9) ? "OK" : "differs on host");
-  std::printf("Progress engine A/B: adaptive %.3f us vs legacy %.3f us (%.2fx); "
-              "adaptive <= classic single: %s\n",
-              t_comm, t_comm_legacy, t_comm_legacy / t_comm,
+  std::printf("Progress engine: adaptive %.3f us; adaptive <= classic single: %s\n", t_comm,
               (t_comm <= c_single) ? "OK" : "MISS");
 
   // Machine-readable results: host latencies plus what the matching engine
@@ -148,9 +136,8 @@ int main() {
   json.add("threadopt_single_us", t_single);
   json.add("threadopt_multiple_us", t_multi);
   json.add("threadopt_commthread_us", t_comm);
-  json.add("threadopt_commthread_legacy_us", t_comm_legacy);
   json.add("iters", static_cast<std::uint64_t>(kIters));
-  // Progress-engine telemetry across all seven phases: blocking callers
+  // Progress-engine telemetry across all six phases: blocking callers
   // should steal their own progress (comm.steals high, comm.sleep_timeouts
   // ~0) and latency-shaped sends should stay inline (comm.inline_sends).
   json.add("comm.wakeups", delta[obs::Pvar::CommWakeups]);

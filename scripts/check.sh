@@ -18,7 +18,10 @@
 #              the collective-network engine (per-round locks, rounds
 #              pipelined from two threads), and the idle-advance tests
 #              (the MU backlog mask and the shm staged count, both read
-#              by commthread sleep checks while their owner writes them)
+#              by commthread sleep checks while their owner writes them;
+#              InjectionBacklog* also pins that a backlogged context is
+#              polled, not slept on); test_hw includes the hw::Waiter
+#              tests (per-thread budget, pinned two-thread turn taking)
 #   bench-smoke — build the obs-on tree and run fig5 with a tiny message
 #              count under PAMIX_BENCH_STRICT_ALLOC: any steady-state pool
 #              miss (a zero-allocation fast-path regression) fails the run;
@@ -35,13 +38,20 @@
 #              miss on the matching engine's steady-state path fails the
 #              run, and both must emit their BENCH_*.json results
 #   commthread-smoke — run the commthread progress-engine leg: the
-#              table2 latency harness (adaptive vs legacy A/B arm) and the
-#              ablate_commthread spin sweep at reduced iteration counts.
+#              table2 latency harness and the ablate_commthread spin sweep
+#              (spin=0 is the engine with no spin window) at reduced
+#              iteration counts.
 #              ablate_commthread self-gates: adaptive ping-pong must not
 #              lose to classic/SINGLE by more than its noise margin and
 #              comm.sleep_timeouts must be exactly 0 (a nonzero count
 #              means a wakeup was lost and the 50ms bounded sleep rescued
 #              progress)
+#   pinned — table2, amrpc_soak and ablate_commthread with every thread
+#              pinned to one CPU (taskset -c 0): the same smoke envs,
+#              self-gates (adaptive <= classic/SINGLE, comm.sleep_timeouts
+#              == 0, strict alloc) and perf-regress floors as the unpinned
+#              legs, on the host shape where a spinning waiter can only
+#              delay the thread it waits for
 #   sim-smoke — run the DES transport backend leg: the backend/scenario
 #              unit tests plus scale_scenarios at the 32/64-node calibration
 #              geometries (PAMIX_SCALE_SMOKE=1). Virtual time is exact, so
@@ -58,7 +68,7 @@
 #              scripts/bench.sh --check (10% default) on a quiet host for
 #              the tight contract. Strict-alloc misses fail at any tolerance.
 #
-# Usage: scripts/check.sh [flavor...]          (default: all ten)
+# Usage: scripts/check.sh [flavor...]          (default: all eleven)
 #        PREFIX=dir scripts/check.sh           (build-dir prefix, default: build)
 set -euo pipefail
 
@@ -68,7 +78,7 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 flavors=("$@")
 if [ ${#flavors[@]} -eq 0 ]; then
-  flavors=(obs-on obs-off sanitize sanitize-thread bench-smoke coll-smoke mpi-rate-smoke commthread-smoke sim-smoke perf-regress)
+  flavors=(obs-on obs-off sanitize sanitize-thread bench-smoke coll-smoke mpi-rate-smoke commthread-smoke pinned sim-smoke perf-regress)
 fi
 
 run_flavor() {
@@ -132,7 +142,7 @@ for flavor in "${flavors[@]}"; do
         PAMIX_TABLE3_KB=64 PAMIX_BENCH_STRICT_ALLOC=1 ./bench/table3_neighbor_throughput )
       test -s "${prefix}/BENCH_table3.json" ;;
     commthread-smoke)
-      echo "==> [commthread-smoke] adaptive progress engine: table2 A/B + spin sweep"
+      echo "==> [commthread-smoke] adaptive progress engine: table2 + spin sweep"
       cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release
       cmake --build "${prefix}" -j "${jobs}" --target table2_mpi_latency ablate_commthread
       ( cd "${prefix}" &&
@@ -141,6 +151,12 @@ for flavor in "${flavors[@]}"; do
       ( cd "${prefix}" &&
         PAMIX_ABLCOMM_ITERS=300 PAMIX_ABLCOMM_MSGS=2000 ./bench/ablate_commthread )
       test -s "${prefix}/BENCH_commthread.json" ;;
+    pinned)
+      echo "==> [pinned] table2 + amrpc + commthread sweep on one CPU, with perf floors"
+      cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release
+      cmake --build "${prefix}" -j "${jobs}" --target table2_mpi_latency amrpc_soak ablate_commthread
+      PREFIX="${prefix}" taskset -c 0 scripts/bench.sh --smoke --check --tolerance 0.5 \
+        table2 amrpc commthread ;;
     sim-smoke)
       echo "==> [sim-smoke] DES transport backend: unit tests + scale calibration run"
       cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release
@@ -158,7 +174,7 @@ for flavor in "${flavors[@]}"; do
       PREFIX="${prefix}" scripts/bench.sh --smoke --check --tolerance 0.5
       test -s "${prefix}/BENCH_report.json" ;;
     *)
-      echo "unknown flavor: ${flavor} (expected obs-on, obs-off, sanitize, sanitize-thread, bench-smoke, coll-smoke, mpi-rate-smoke, commthread-smoke, sim-smoke, perf-regress)" >&2
+      echo "unknown flavor: ${flavor} (expected obs-on, obs-off, sanitize, sanitize-thread, bench-smoke, coll-smoke, mpi-rate-smoke, commthread-smoke, pinned, sim-smoke, perf-regress)" >&2
       exit 2 ;;
   esac
 done

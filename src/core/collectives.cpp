@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstring>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "core/buffer_pool.h"
@@ -204,33 +203,19 @@ std::size_t tree_levels(std::size_t n, std::size_t r) {
   return levels;
 }
 
-void progress(Context& ctx);
+std::size_t progress(Context& ctx);
 
-/// The wait discipline for every blocking loop in this file: advance the
-/// owning client's contexts (real work), then cpu_relax — a BG/Q waiter
-/// owns its hardware thread and never enters the scheduler. The yield is
-/// an escape hatch for oversubscribed build/test hosts, same as
-/// L2AtomicMutex's slow path: when the machine runs more task threads
-/// than the host has hardware threads, the waited-for task is frequently
-/// not running, so burning the rest of a scheduler quantum on cpu_relax
-/// only delays it — hw::spin_yield_interval() drops to 1 there.
+/// The blocking loops in this file: advance the owning client's contexts
+/// (real work) and take a hw::Waiter step on the result.
 class ProgressSpin {
  public:
-  explicit ProgressSpin(Context& ctx)
-      : ctx_(ctx), yield_interval_(hw::spin_yield_interval()) {}
-  void spin() {
-    progress(ctx_);
-    hw::cpu_relax();
-    if (++spins_ >= yield_interval_) {
-      spins_ = 0;
-      std::this_thread::yield();
-    }
-  }
+  explicit ProgressSpin(Context& ctx) : ctx_(ctx) {}
+  void spin() { waiter_.step(progress(ctx_)); }
+  void reset() { waiter_.reset(); }
 
  private:
   Context& ctx_;
-  const int yield_interval_;
-  int spins_ = 0;
+  hw::Waiter waiter_;
 };
 
 /// Send one software-collective message. Small messages are copied by the
@@ -266,10 +251,8 @@ void send_coll(Context& ctx, Geometry& g, std::uint64_t seq, int phase, std::siz
     std::atomic<int>* counter = &pending;
     p.on_remote_done = [counter] { counter->fetch_sub(1, std::memory_order_acq_rel); };
   }
-  while (ctx.send(p) == Result::Eagain) {
-    progress(ctx);
-    hw::cpu_relax();
-  }
+  ProgressSpin spin(ctx);
+  while (ctx.send(p) == Result::Eagain) spin.spin();
 }
 
 /// Wait until every rendezvous-sized send of this collective has been
@@ -294,17 +277,18 @@ core::Buf wait_coll(Context& ctx, Geometry& g, std::uint64_t seq, int phase,
 /// live on the client's other contexts — e.g. point-to-point traffic that
 /// was in flight when the collective started — so those are advanced too,
 /// under trylock so active commthreads are never raced.
-void progress(Context& ctx) {
-  ctx.advance();
+std::size_t progress(Context& ctx) {
+  std::size_t events = ctx.advance();
   Client& client = ctx.client();
   for (int i = 0; i < client.context_count(); ++i) {
     Context& other = client.context(i);
     if (&other == &ctx) continue;
     if (other.trylock()) {
-      other.advance();
+      events += other.advance();
       other.unlock();
     }
   }
+  return events;
 }
 
 // ----------------------------------------------------------- local helpers --
@@ -1122,7 +1106,11 @@ void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void*
             progressed = true;
           }
         }
-        if (!progressed) spin.spin();
+        if (progressed) {
+          spin.reset();
+        } else {
+          spin.spin();
+        }
       }
       drain_sends(ctx, pending);  // rendezvous-sized chunks pull from our buffer
     }

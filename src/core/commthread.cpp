@@ -9,8 +9,8 @@ namespace pamix::pami {
 namespace {
 /// Default spin window before arming the wakeup unit. Long enough to ride
 /// out a ping-pong turnaround without a futex round trip on dedicated
-/// hardware threads; the window yields per iteration on oversubscribed
-/// hosts, so it only consumes otherwise-idle quanta there.
+/// hardware threads; the window polls through a hw::Waiter, so on a
+/// shared core it yields rather than holding the core for the window.
 constexpr int kDefaultSpinUs = 100;
 }  // namespace
 
@@ -43,44 +43,24 @@ CommThreadPool::CommThreadPool(Client& client, int count, int context_limit)
     workers[static_cast<std::size_t>(c) % workers.size()]->contexts.push_back(
         &client_.context(c));
   }
-  const bool legacy = spin_us_ == 0;
   for (auto& w : workers) {
-    if (legacy) {
-      // Legacy controller: one aggregate watch over every owned address —
-      // a wake cannot tell which context fired, so the worker sweeps all.
-      std::vector<std::pair<const void*, std::size_t>> ranges;
-      for (Context* ctx : w->contexts) {
-        for (const void* a : ctx->wakeup_addresses()) {
-          ranges.emplace_back(a, sizeof(std::uint64_t));
-        }
-      }
-      if (!ranges.empty()) w->watch = wakeup.watch_many(std::move(ranges));
-    } else {
-      // Adaptive controller: one watch per context, all feeding one shared
-      // WaitSlot (the hardware thread sleeps once over all of its WAC
-      // registers), plus a doorbell watch for the latency-sensitive
-      // handoff store. Each covered context learns its watch handle so
-      // Context::unlock can re-ring it when work is left behind.
-      w->slot = wakeup.create_wait_slot();
-      for (Context* ctx : w->contexts) {
-        const hw::WakeupUnit::WatchHandle h =
-            wakeup.watch_many(ctx->wakeup_ranges(), w->slot);
-        w->ctx_watches.push_back(h);
-        ctx->set_comm_watch(&wakeup, h);
-      }
-      w->doorbell_watch = wakeup.watch(&w->doorbell, sizeof(w->doorbell), w->slot);
+    // One watch per context, all feeding one shared WaitSlot (the hardware
+    // thread sleeps once over all of its WAC registers), plus a doorbell
+    // watch for the latency-sensitive handoff store. Each covered context
+    // learns its watch handle so Context::unlock can re-ring it when work
+    // is left behind.
+    w->slot = wakeup.create_wait_slot();
+    for (Context* ctx : w->contexts) {
+      const hw::WakeupUnit::WatchHandle h = wakeup.watch_many(ctx->wakeup_ranges(), w->slot);
+      w->ctx_watches.push_back(h);
+      ctx->set_comm_watch(&wakeup, h);
     }
+    w->doorbell_watch = wakeup.watch(&w->doorbell, sizeof(w->doorbell), w->slot);
     threads_.push_back(std::move(w));
   }
   for (auto& w : threads_) {
     Worker* wp = w.get();
-    w->thread = std::thread([this, wp, legacy] {
-      if (legacy) {
-        run_legacy(*wp);
-      } else {
-        run(*wp);
-      }
-    });
+    w->thread = std::thread([this, wp] { run(*wp); });
   }
 }
 
@@ -88,13 +68,7 @@ CommThreadPool::~CommThreadPool() { stop(); }
 
 void CommThreadPool::stop() {
   if (stopping_.exchange(true)) return;
-  for (auto& w : threads_) {
-    if (spin_us_ == 0) {
-      if (!w->contexts.empty()) client_.node().wakeup().notify_watch(w->watch);
-    } else {
-      client_.node().wakeup().notify_watch(w->doorbell_watch);
-    }
-  }
+  for (auto& w : threads_) client_.node().wakeup().notify_watch(w->doorbell_watch);
   for (auto& w : threads_) {
     if (w->thread.joinable()) w->thread.join();
     client_.node().hw_threads().release(w->hw_thread);
@@ -103,7 +77,6 @@ void CommThreadPool::stop() {
 }
 
 void CommThreadPool::ring_doorbell(const Context* ctx) {
-  if (spin_us_ == 0) return;  // legacy mode programs no doorbell watch
   for (auto& w : threads_) {
     for (const Context* c : w->contexts) {
       if (c != ctx) continue;
@@ -146,18 +119,14 @@ std::uint64_t CommThreadPool::spin_iters() const {
   return n;
 }
 
-void CommThreadPool::record_timeout_if_lost(Worker& w) {
+bool CommThreadPool::unmuted_work(const Worker& w) const {
   hw::WakeupUnit& wakeup = client_.node().wakeup();
   for (std::size_t i = 0; i < w.contexts.size(); ++i) {
-    if (w.contexts[i]->idle()) continue;
     // A muted watch means a blocking caller owns this context's progress
-    // for the moment (paper §V steal window) — expiring under it is the
-    // design working, not a lost wakeup.
-    if (i < w.ctx_watches.size() && wakeup.muted(w.ctx_watches[i])) continue;
-    w.counters.timeouts.fetch_add(1, std::memory_order_relaxed);
-    w.obs->pvars.add(obs::Pvar::CommSleepTimeouts);
-    return;
+    // for the moment (paper §V steal window).
+    if (!w.contexts[i]->idle() && !wakeup.muted(w.ctx_watches[i])) return true;
   }
+  return false;
 }
 
 std::size_t CommThreadPool::advance_one(Worker& w, Context& ctx) {
@@ -205,21 +174,14 @@ void CommThreadPool::run(Worker& w) {
   std::vector<std::uint64_t> armed(w.ctx_watches.size(), 0);
   std::uint64_t spin_deadline = 0;  // obs::now_ns() units
   std::uint64_t spin_t0 = 0;        // start of the current spin span
-  // The spin window exists to save a wakeup-unit round trip on a hardware
-  // thread that is otherwise idle. On an oversubscribed host the window
-  // inverts: every poll iteration keeps this thread runnable and steals
-  // the quantum the producer needs, so go straight to the (muted-aware)
-  // wakeup sleep instead. Re-read per event burst — the hint moves as
-  // application threads come and go.
-  const auto effective_spin = [&]() -> std::uint64_t {
-    return hw::oversubscribed_hint().load(std::memory_order_relaxed) ? 0 : spin_ns;
-  };
+  hw::Waiter waiter;
   while (!stopping_.load(std::memory_order_acquire)) {
     std::size_t events = sweep(w);
     if (events > 0) {
       w.counters.events.fetch_add(events, std::memory_order_relaxed);
-      spin_deadline = obs::now_ns() + effective_spin();
+      spin_deadline = obs::now_ns() + spin_ns;
       spin_t0 = 0;
+      waiter.reset();
       continue;
     }
     // SPIN: a zero-event sweep inside the window keeps polling the cheap
@@ -230,17 +192,20 @@ void CommThreadPool::run(Worker& w) {
       if (spin_t0 == 0) spin_t0 = now;
       w.counters.spin_iters.fetch_add(1, std::memory_order_relaxed);
       w.obs->pvars.add(obs::Pvar::CommSpinIters);
-      if (hw::oversubscribed_hint().load(std::memory_order_relaxed)) {
-        // The producer of the next event needs our timeslice to run.
-        std::this_thread::yield();
-      } else {
-        hw::cpu_relax();
-      }
+      waiter.pause();
       continue;
     }
     if (spin_t0 != 0) {
       w.obs->trace.record_span(obs::TraceEv::CommSpin, spin_t0);
       spin_t0 = 0;
+    }
+    // BACKLOG: a context still not idle after a zero-event sweep (a
+    // descriptor queued behind a full remote reception FIFO) writes
+    // nothing this worker watches when it frees up, and our own unlock
+    // re-rings its watch, so a sleep would fall straight through. Poll.
+    if (unmuted_work(w)) {
+      waiter.pause();
+      continue;
     }
     // SLEEP: publish asleep (so producers start paying for the doorbell),
     // arm the slot, snapshot every per-context watch plus the doorbell,
@@ -257,7 +222,8 @@ void CommThreadPool::run(Worker& w) {
     if (events > 0) {
       w.asleep.store(false, std::memory_order_relaxed);
       w.counters.events.fetch_add(events, std::memory_order_relaxed);
-      spin_deadline = obs::now_ns() + effective_spin();
+      spin_deadline = obs::now_ns() + spin_ns;
+      waiter.reset();
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) break;
@@ -269,14 +235,18 @@ void CommThreadPool::run(Worker& w) {
     w.obs->pvars.add(obs::Pvar::CommWakeups);
     w.obs->trace.record_span(obs::TraceEv::CommSleep, sleep_t0);
     w.obs->trace.record(obs::TraceEv::CommWake);
+    waiter.reset();
     if (stopping_.load(std::memory_order_acquire)) break;
     if (!woken) {
       // Deadline expiry with no notify. Expiring *with work pending* means
       // a producer stored into a watched region without the epoch moving —
       // an arm/notify ordering bug; the counter is the detector (tests and
-      // benches assert it stays ~0). Expiring idle is just a bounded-sleep
-      // re-arm and counts nothing.
-      record_timeout_if_lost(w);
+      // benches assert it stays ~0). Expiring idle, or with only muted
+      // contexts pending, is just a bounded-sleep re-arm and counts nothing.
+      if (unmuted_work(w)) {
+        w.counters.timeouts.fetch_add(1, std::memory_order_relaxed);
+        w.obs->pvars.add(obs::Pvar::CommSleepTimeouts);
+      }
       continue;
     }
     if (wakeup.arm(w.doorbell_watch) != bell_armed) {
@@ -294,62 +264,8 @@ void CommThreadPool::run(Worker& w) {
     }
     if (targeted > 0) {
       w.counters.events.fetch_add(targeted, std::memory_order_relaxed);
-      spin_deadline = obs::now_ns() + effective_spin();
+      spin_deadline = obs::now_ns() + spin_ns;
     }
-  }
-}
-
-// The pre-overhaul loop, selected by PAMIX_COMM_SPIN_US=0: aggregate
-// watch, sweep-everything wakes, yield-while-any-work, one priority
-// raise/lower per sweep. Kept verbatim as the before-arm for A/B runs
-// (bench/ablate_commthread.cpp, the *_legacy_* rows in table2/fig5).
-void CommThreadPool::run_legacy(Worker& w) {
-  hw::HwThreadMap& hwmap = client_.node().hw_threads();
-  hw::WakeupUnit& wakeup = client_.node().wakeup();
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Arm before checking for work: the lost-wakeup-free ordering.
-    const std::uint64_t armed = w.contexts.empty() ? 0 : wakeup.arm(w.watch);
-    std::size_t events = 0;
-    bool raised = false;
-    for (Context* ctx : w.contexts) {
-      if (!ctx->trylock()) {
-        w.obs->pvars.add(obs::Pvar::CommLockMisses);
-        continue;
-      }
-      if (!raised) {
-        hwmap.set_priority(w.hw_thread, hw::ThreadPriority::CommHighest);
-        raised = true;
-      }
-      events += ctx->advance();
-      ctx->unlock();
-    }
-    if (raised) hwmap.set_priority(w.hw_thread, hw::ThreadPriority::CommLowest);
-    w.counters.events.fetch_add(events, std::memory_order_relaxed);
-    if (events > 0 || w.contexts.empty()) {
-      if (w.contexts.empty()) std::this_thread::yield();
-      continue;
-    }
-    bool any_work = false;
-    for (Context* ctx : w.contexts) {
-      if (!ctx->idle()) {
-        any_work = true;
-        break;
-      }
-    }
-    if (any_work) {
-      std::this_thread::yield();
-      continue;
-    }
-    w.counters.sleeps.fetch_add(1, std::memory_order_relaxed);
-    w.obs->pvars.add(obs::Pvar::CommSleeps);
-    const std::uint64_t sleep_t0 = obs::now_ns();
-    const bool woken = wakeup.wait_for(w.watch, armed, std::chrono::milliseconds(50));
-    if (!woken && !stopping_.load(std::memory_order_acquire)) {
-      record_timeout_if_lost(w);
-    }
-    w.obs->pvars.add(obs::Pvar::CommWakeups);
-    w.obs->trace.record_span(obs::TraceEv::CommSleep, sleep_t0);
-    w.obs->trace.record(obs::TraceEv::CommWake);
   }
 }
 

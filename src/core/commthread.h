@@ -11,21 +11,27 @@
 // The progress loop is an adaptive spin-then-sleep controller
 // (see DESIGN.md §13 for the state machine):
 //
-//   HOT:   sweep non-idle contexts under their locks, CommHighest only
-//          across each single advance. Any event re-arms the spin window.
-//   SPIN:  after a zero-event sweep, keep polling the cheap idle
-//          predicates for PAMIX_COMM_SPIN_US microseconds — a message
-//          arriving inside the window is picked up without a wakeup-unit
-//          round trip.
-//   SLEEP: arm one watch per owned context (plus the handoff doorbell) on
-//          a shared WaitSlot, re-check the predicates, and park.  A wake
-//          identifies *which* watch fired; only those contexts advance.
+//   HOT:     sweep non-idle contexts under their locks, CommHighest only
+//            across each single advance. Any event re-arms the spin window.
+//   SPIN:    after a zero-event sweep, keep polling the cheap idle
+//            predicates for PAMIX_COMM_SPIN_US microseconds (0: no window)
+//            — a message arriving inside the window is picked up without
+//            a wakeup-unit round trip.
+//   BACKLOG: a covered, unmuted context that is still not idle after a
+//            zero-event sweep (a descriptor stuck behind a full remote
+//            FIFO) is polled, not slept on: nothing the worker watches is
+//            written when it frees up.
+//   SLEEP:   arm one watch per owned context (plus the handoff doorbell)
+//            on a shared WaitSlot, re-check the predicates, and park. A
+//            wake identifies *which* watch fired; only those contexts
+//            advance.
 //
-// A context whose trylock fails is left to the lock holder: Context::unlock
-// re-rings the per-context watch if pollable work remains (the doorbell
-// protocol), so sleeping on a contended context cannot strand work.
-// PAMIX_COMM_SPIN_US=0 selects the legacy controller (aggregate watch,
-// sweep-everything, yield-while-any-work) as the before-arm for A/B runs.
+// SPIN and BACKLOG poll through one hw::Waiter, the same wait discipline
+// as every other blocking loop; commthreads are the only threads that
+// sleep. A context whose trylock fails is left to the lock holder:
+// Context::unlock re-rings the per-context watch if pollable work remains
+// (the doorbell protocol), so sleeping on a contended context cannot
+// strand work.
 #pragma once
 
 #include <atomic>
@@ -59,10 +65,10 @@ class CommThreadPool {
   /// Latency-sensitive fast wake (paper §III-C): store to the watched
   /// doorbell word of the worker covering `ctx`, so a sleeping commthread
   /// wakes for the handoff immediately instead of on the next queue-tail
-  /// snoop. No-op in legacy mode (no doorbell watch is programmed).
+  /// snoop.
   void ring_doorbell(const Context* ctx);
 
-  /// Effective spin window (µs); 0 means the legacy controller is active.
+  /// Spin window (µs) before a worker arms the wakeup unit; 0 = none.
   int spin_us() const { return spin_us_; }
 
   // Pool-wide telemetry, aggregated from the per-worker cache-line-aligned
@@ -91,14 +97,12 @@ class CommThreadPool {
     std::thread thread;
     int hw_thread = -1;
     std::vector<Context*> contexts;
-    // Per-context watches (adaptive mode): ctx_watches[i] covers
-    // contexts[i]'s producer-visible addresses, so a wake names the
-    // context that fired. All share `slot` — one sleep covers them all.
+    // Per-context watches: ctx_watches[i] covers contexts[i]'s producer-
+    // visible addresses, so a wake names the context that fired. All
+    // share `slot` — one sleep covers them all.
     std::vector<hw::WakeupUnit::WatchHandle> ctx_watches;
     hw::WakeupUnit::WatchHandle doorbell_watch = 0;
     hw::WakeupUnit::WaitSlot* slot = nullptr;
-    // Legacy mode: one aggregate watch over every owned address.
-    hw::WakeupUnit::WatchHandle watch = 0;
     // The word ring_doorbell stores to; watched by doorbell_watch. Own
     // cache line: app threads store here while the worker reads.
     alignas(64) std::atomic<std::uint64_t> doorbell{0};
@@ -114,16 +118,14 @@ class CommThreadPool {
   };
 
   void run(Worker& w);
-  void run_legacy(Worker& w);
   /// One pass over the worker's contexts: skip idle ones (no lock, no
   /// priority traffic), trylock the rest, advance under a per-context
   /// CommHighest ceiling. Returns events processed.
   std::size_t sweep(Worker& w);
   std::size_t advance_one(Worker& w, Context& ctx);
-  /// A bounded sleep expired un-notified: count it only if work was
-  /// pending (the lost-wakeup signature); an idle expiry is a benign
-  /// re-arm tick.
-  void record_timeout_if_lost(Worker& w);
+  /// Some owned context has work and no blocking caller is stealing its
+  /// progress (its watch is not muted).
+  bool unmuted_work(const Worker& w) const;
 
   Client& client_;
   int spin_us_ = 0;

@@ -134,10 +134,9 @@ class Context {
   }
 
   // --- Wakeup integration (used by commthreads) ------------------------------
-  /// Addresses written when work arrives for this context: the work-queue
-  /// tail, the reception FIFO's delivery counter, the shm queue tail.
-  std::vector<const void*> wakeup_addresses() const { return engine_->wakeup_addresses(); }
-  /// The same as (base, length) ranges — this context's WAC register image.
+  /// Addresses written when work arrives for this context (the work-queue
+  /// tail, the reception FIFO's delivery counter, the shm queue tail) as
+  /// (base, length) ranges — this context's WAC register image.
   std::vector<std::pair<const void*, std::size_t>> wakeup_ranges() const {
     return engine_->wakeup_ranges();
   }

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/topology.h"
@@ -43,18 +42,10 @@ class LocalBarrier {
       generation_.fetch_add(1, std::memory_order_acq_rel);
       return;
     }
-    // Wait discipline: make progress, then cpu_relax — a BG/Q waiter owns
-    // its hardware thread. The scheduler yield is an escape hatch for
-    // oversubscribed hosts (more tasks than cores), same as L2AtomicMutex.
-    const int interval = hw::spin_yield_interval();
-    int spins = 0;
+    hw::Waiter waiter;
     while (generation_.load(std::memory_order_acquire) == gen) {
       if (progress) progress();
-      hw::cpu_relax();
-      if (++spins >= interval) {
-        spins = 0;
-        std::this_thread::yield();
-      }
+      waiter.pause();
     }
   }
 
@@ -78,15 +69,10 @@ struct SharedSlot {
   }
   const void* wait_for(std::uint64_t expected_gen,
                        const std::function<void()>& progress = {}) const {
-    const int interval = hw::spin_yield_interval();
-    int spins = 0;
+    hw::Waiter waiter;
     while (gen.load(std::memory_order_acquire) < expected_gen) {
       if (progress) progress();
-      hw::cpu_relax();
-      if (++spins >= interval) {
-        spins = 0;
-        std::this_thread::yield();
-      }
+      waiter.pause();
     }
     return ptr.load(std::memory_order_acquire);
   }

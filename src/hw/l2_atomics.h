@@ -14,6 +14,9 @@
 // per-node statistics, mirroring how CNK hands L2 atomic memory to PAMI.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -24,11 +27,12 @@
 
 namespace pamix::hw {
 
-/// Pause hint for busy-wait loops (publication spins, ticket-lock waits,
-/// pool-reclaim spins). On x86 this is the PAUSE instruction, which
-/// de-prioritizes the spinning hyperthread and avoids the memory-order
-/// mis-speculation penalty on loop exit; elsewhere it degrades to a
-/// compiler barrier so the spin still re-reads memory.
+/// Pause hint for one busy-wait pass: Waiter's spin phase, and publication
+/// spins that wait for a store another thread already has under way. On
+/// x86 this is the PAUSE instruction, which de-prioritizes the spinning
+/// hyperthread and avoids the memory-order mis-speculation penalty on loop
+/// exit; elsewhere it degrades to a compiler barrier so the spin still
+/// re-reads memory.
 inline void cpu_relax() {
 #if defined(__x86_64__)
   __builtin_ia32_pause();
@@ -37,22 +41,95 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Process-global oversubscription hint, set by runtime::Machine when it
-/// knows how many task threads it will run versus how many hardware
-/// threads the host has. On BG/Q a waiter owns its hardware thread and
-/// spins with cpu_relax; on an oversubscribed host the thread being
-/// waited for is frequently NOT running, so burning out the rest of a
-/// scheduler quantum only delays it — spin loops should yield every
-/// iteration instead. spin_yield_interval() folds the hint into the
-/// "yield after N spins" constant used by every blocking loop.
-inline std::atomic<bool>& oversubscribed_hint() {
-  static std::atomic<bool> hint{false};
-  return hint;
-}
+/// The wait discipline of every blocking loop: spin with cpu_relax for a
+/// budget of idle passes, then yield on every further idle pass. The
+/// caller calls pause() after an idle pass and reset() after a productive
+/// one (step() does whichever fits); a Waiter going out of scope ends its
+/// wait like reset().
+///
+/// On BG/Q a waiter owns its hardware thread and never needs the yield.
+/// A host may run more task threads than it has cores, pin them all to
+/// one CPU, or share cores with commthreads, and no process-wide count
+/// can tell which. So the budget belongs to the waiting thread and is
+/// learned from what its waits observe: after every kSampleWaits waits
+/// that had to yield, the thread reads the kernel's count of its own
+/// involuntary context switches. If it moved, other threads ran on this
+/// core while this one waited (a yield handed the core over, or the
+/// scheduler preempted it): the core is shared, spinning keeps the thread
+/// being waited for off it, and the budget halves. If it did not, the
+/// yields found nothing else to run: spinning costs no one, and the budget
+/// doubles. Waits that end while spinning leave it as is.
+class Waiter {
+ public:
+  static constexpr int kMaxSpins = 256;
+  /// Yielding waits per budget update: amortizes the getrusage call.
+  static constexpr unsigned kSampleWaits = 8;
 
-inline int spin_yield_interval() {
-  return oversubscribed_hint().load(std::memory_order_relaxed) ? 1 : 256;
-}
+  Waiter() = default;
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
+  ~Waiter() { reset(); }
+
+  /// One idle pass. Returns true if it yielded.
+  bool pause() {
+    if (idle_ < budget()) {
+      ++idle_;
+      cpu_relax();
+      return false;
+    }
+    yielded_ = true;
+    std::this_thread::yield();
+    return true;
+  }
+
+  /// A productive pass ended the current wait: fold it into the thread's
+  /// budget and start the next wait with a full budget.
+  void reset() {
+    if (yielded_) {
+      Tuning& t = tuning();
+      if (++t.yielded_waits % kSampleWaits == 0) {
+        rusage ru;
+        getrusage(RUSAGE_THREAD, &ru);
+        t.budget = next_budget(t.budget, /*contended=*/ru.ru_nivcsw != t.switches);
+        t.switches = ru.ru_nivcsw;
+      }
+    }
+    idle_ = 0;
+    yielded_ = false;
+  }
+
+  /// One pass of a polling loop that did `work` units of progress.
+  void step(std::size_t work) {
+    if (work > 0) {
+      reset();
+    } else {
+      pause();
+    }
+  }
+
+  /// The calling thread's spin budget (idle passes before the first yield).
+  static int budget() { return tuning().budget; }
+
+  /// The budget after a sample: halved if other threads ran on the core,
+  /// else doubled (from 0 to 1), within [0, kMaxSpins].
+  static constexpr int next_budget(int budget, bool contended) {
+    return contended ? budget / 2 : std::min(std::max(2 * budget, 1), kMaxSpins);
+  }
+
+ private:
+  struct Tuning {
+    int budget = kMaxSpins;
+    unsigned yielded_waits = 0;
+    long switches = 0;  // ru_nivcsw at the last sample
+  };
+  static Tuning& tuning() {
+    thread_local Tuning t;
+    return t;
+  }
+
+  int idle_ = 0;
+  bool yielded_ = false;
+};
 
 /// Result returned by bounded ops when the bound would be violated.
 /// (Matches the BG/Q encoding: the top bit is set on failure.)
@@ -167,17 +244,8 @@ class L2AtomicMutex {
  public:
   void lock() {
     const std::uint64_t my = l2::load_increment(next_ticket_);
-    const int interval = spin_yield_interval();
-    int spins = 0;
-    while (l2::load(now_serving_) != my) {
-      cpu_relax();
-      // On BG/Q a waiter owns its hardware thread and spins; on an
-      // oversubscribed host the holder may need our timeslice to run.
-      if (++spins >= interval) {
-        spins = 0;
-        std::this_thread::yield();
-      }
-    }
+    Waiter waiter;
+    while (l2::load(now_serving_) != my) waiter.pause();
   }
 
   bool try_lock() {

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <thread>
 
 namespace pamix::models {
 
@@ -84,17 +83,14 @@ Armci::NbHandle Armci::nb_put(int dest_task, void* remote, const void* local,
     pending->fetch_sub(1, std::memory_order_acq_rel);
     outstanding->fetch_sub(1, std::memory_order_acq_rel);
   };
-  while (ctx_.put(p) == pami::Result::Eagain) {
-    ctx_.advance();
-  }
+  hw::Waiter waiter;
+  while (ctx_.put(p) == pami::Result::Eagain) waiter.step(ctx_.advance());
   return h;
 }
 
 void Armci::wait(NbHandle& h) {
-  while (h.pending->load(std::memory_order_acquire) > 0) {
-    ctx_.advance();
-    std::this_thread::yield();
-  }
+  hw::Waiter waiter;
+  while (h.pending->load(std::memory_order_acquire) > 0) waiter.step(ctx_.advance());
 }
 
 void Armci::put(int dest_task, void* remote, const void* local, std::size_t bytes) {
@@ -110,13 +106,9 @@ void Armci::get(int src_task, const void* remote, void* local, std::size_t bytes
   p.remote_addr = remote;
   p.bytes = bytes;
   p.on_done = [&done] { done = true; };
-  while (ctx_.get(p) == pami::Result::Eagain) {
-    ctx_.advance();
-  }
-  while (!done) {
-    ctx_.advance();
-    std::this_thread::yield();
-  }
+  hw::Waiter waiter;
+  while (ctx_.get(p) == pami::Result::Eagain) waiter.step(ctx_.advance());
+  while (!done) waiter.step(ctx_.advance());
 }
 
 void Armci::accumulate(int dest_task, std::int64_t* remote, const std::int64_t* local,
@@ -134,16 +126,13 @@ void Armci::accumulate(int dest_task, std::int64_t* remote, const std::int64_t* 
   p.data = local;
   p.data_bytes = count * sizeof(std::int64_t);
   p.on_remote_done = [outstanding] { outstanding->fetch_sub(1, std::memory_order_acq_rel); };
-  while (ctx_.send(p) == pami::Result::Eagain) {
-    ctx_.advance();
-  }
+  hw::Waiter waiter;
+  while (ctx_.send(p) == pami::Result::Eagain) waiter.step(ctx_.advance());
 }
 
 void Armci::fence_all() {
-  while (outstanding_->load(std::memory_order_acquire) > 0) {
-    ctx_.advance();
-    std::this_thread::yield();
-  }
+  hw::Waiter waiter;
+  while (outstanding_->load(std::memory_order_acquire) > 0) waiter.step(ctx_.advance());
 }
 
 void Armci::barrier() {

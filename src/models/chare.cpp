@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <thread>
 
 namespace pamix::models {
 
@@ -90,9 +89,8 @@ void ChareRuntime::send(int dest_element, int method, const void* data, std::siz
     auto acks = send_acks_;
     p.on_remote_done = [acks] { acks->fetch_sub(1, std::memory_order_acq_rel); };
   }
-  while (ctx_.send(p) == pami::Result::Eagain) {
-    ctx_.advance();
-  }
+  hw::Waiter waiter;
+  while (ctx_.send(p) == pami::Result::Eagain) waiter.step(ctx_.advance());
 }
 
 void ChareRuntime::deliver(Delivery&& d) {

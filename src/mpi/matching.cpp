@@ -112,9 +112,9 @@ Request RequestPool::acquire(RequestImpl::Kind kind) {
   // The deleter co-owns the shard state: a request parked in a matcher
   // queue can be released after the pool object itself is gone. Release
   // pushes onto the *home* shard's lock-free reclaim stack — a CAS loop
-  // with cpu_relax between attempts and a yield once contention is
-  // clearly pathological — so a commthread or sibling endpoint thread
-  // completing a request never takes the acquirer's lock.
+  // that takes a hw::Waiter pause between attempts — so a commthread or
+  // sibling endpoint thread completing a request never takes the
+  // acquirer's lock.
   return Request(
       impl,
       [st = state_](RequestImpl* p) {
@@ -126,18 +126,14 @@ Request RequestPool::acquire(RequestImpl::Kind kind) {
     }
     Shard& sh = st->shards[p->pool_shard];
     RequestImpl* head = sh.reclaim.load(std::memory_order_relaxed);
-    int attempts = 0;
+    hw::Waiter waiter;
     for (;;) {
       p->pool_next = head;
       if (sh.reclaim.compare_exchange_weak(head, p, std::memory_order_release,
                                            std::memory_order_relaxed)) {
         break;
       }
-      if ((++attempts & 63) == 0) {
-        std::this_thread::yield();
-      } else {
-        hw::cpu_relax();
-      }
+      waiter.pause();
     }
       },
       CtrlAlloc<RequestImpl>());

@@ -92,8 +92,8 @@ struct RequestImpl {
 /// Thread-sharded request allocator (paper: "thread private pools to
 /// minimize locking overheads"). Acquire hashes the calling thread to a
 /// shard and pops its mutex-guarded freelist; release pushes onto the
-/// *home* shard's lock-free Treiber reclaim stack (bounded-retry CAS with
-/// cpu_relax), so a request completed on a commthread or a sibling
+/// *home* shard's lock-free Treiber reclaim stack (a CAS retried under a
+/// hw::Waiter), so a request completed on a commthread or a sibling
 /// endpoint thread recycles back without taking the acquirer's lock — the
 /// same owner/reclaim split core/buffer_pool.h uses. Releases from a
 /// thread hashing to a different shard than the acquirer count the

@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <cstring>
-#include <thread>
 
 #include "core/endpoint.h"
 #include "core/env.h"
@@ -284,12 +283,8 @@ void Mpi::progress_until(const std::function<bool()>& pred) {
   if (pred()) return;
   StealWindow steal(client_, base_contexts_, commthreads_ != nullptr);
   bool steal_recorded = false;
-  while (!pred()) {
-    // Yield only on an empty pass: while this thread is finding events it
-    // is the progress engine, and handing the core away mid-stream just
-    // adds a scheduler round trip per message.
-    if (progress(&steal_recorded) == 0) std::this_thread::yield();
-  }
+  hw::Waiter waiter;
+  while (!pred()) waiter.step(progress(&steal_recorded));
 }
 
 // ------------------------------------------------------------ point2point --
@@ -319,11 +314,6 @@ void Mpi::complete_isend(const CommImpl& c, int dest_rank, Request req, const vo
 
   const bool handoff = commthreads_ != nullptr && impl_->library == Library::ThreadOptimized;
   if (handoff) {
-    // PAMIX_COMM_SPIN_US=0 selects the legacy engine end to end: the
-    // fixed sweep/sleep loop on the workers AND the unconditional-handoff
-    // send path here, so the A/B before-arm measures the old design, not
-    // the old loop under the new send policy.
-    const bool adaptive = commthreads_->spin_us() > 0;
     // Adaptive handoff: the isend streak since the last blocking call
     // discriminates latency-shaped traffic (short streak — the caller is
     // about to block, so inject on its own cycles under a trylock) from
@@ -331,16 +321,9 @@ void Mpi::complete_isend(const CommImpl& c, int dest_rank, Request req, const vo
     // to the commthread, paper §IV-A). The inline arm engages only when
     // the lock is free: it never preempts an active advancer, and the
     // receive side's per-peer sequence parking absorbs any interleave
-    // with previously queued handoffs. On an oversubscribed host the
-    // handoff pipeline has no spare hardware thread to land on — the
-    // commthread's drain cycles come out of this core's own timeslice —
-    // so rate-shaped bursts also stay inline there and the commthread
-    // only backstops lock contention.
+    // with previously queued handoffs.
     const int streak = impl_->isend_streak.fetch_add(1, std::memory_order_relaxed);
-    const bool inline_ok =
-        adaptive && (streak < kInlineSendStreak ||
-                     hw::oversubscribed_hint().load(std::memory_order_relaxed));
-    if (inline_ok && ctx.trylock()) {
+    if (streak < kInlineSendStreak && ctx.trylock()) {
       pami::SendParams p;
       p.dispatch = kMpiDispatchId;
       p.dest = dest;
@@ -351,7 +334,8 @@ void Mpi::complete_isend(const CommImpl& c, int dest_rank, Request req, const vo
       p.on_local_done = [req] { req->finish(); };
       // Eagain drains under the held lock: progress() would skip this
       // context (its own trylock loses to us).
-      while (ctx.send(p) == pami::Result::Eagain) ctx.advance();
+      hw::Waiter waiter;
+      while (ctx.send(p) == pami::Result::Eagain) waiter.step(ctx.advance());
       ctx.unlock();
       impl_->obs.pvars.add(obs::Pvar::CommInlineSends);
       return;
@@ -459,6 +443,7 @@ void Mpi::wait_on_context(Request& r, int ctx_index) {
   // back to the full sweep (which can never miss it).
   constexpr int kMaxEmptyPasses = 4096;
   int empty = 0;
+  hw::Waiter waiter;
   while (!r->done() && empty < kMaxEmptyPasses) {
     std::size_t ev = 0;
     if (ctx.trylock()) {
@@ -470,12 +455,8 @@ void Mpi::wait_on_context(Request& r, int ctx_index) {
       }
       ctx.unlock();
     }
-    if (ev == 0) {
-      ++empty;
-      std::this_thread::yield();
-    } else {
-      empty = 0;
-    }
+    empty = ev == 0 ? empty + 1 : 0;
+    waiter.step(ev);
   }
   ctx.end_steal(epoch);
   if (!r->done()) progress_until([&] { return r->done(); });
@@ -487,8 +468,8 @@ void Mpi::wait(Request& r, Status* status) {
   // the partition to the commthread pool. Everything else (ANY_SOURCE, no
   // commthreads) takes the full-sweep path.
   const int sctx = r->steal_ctx;
-  if (commthreads_ != nullptr && commthreads_->thread_count() > 0 &&
-      commthreads_->spin_us() > 0 && sctx >= 0 && sctx < base_contexts_) {
+  if (commthreads_ != nullptr && commthreads_->thread_count() > 0 && sctx >= 0 &&
+      sctx < base_contexts_) {
     wait_on_context(r, sctx);
   } else {
     progress_until([&] { return r->done(); });
@@ -529,6 +510,7 @@ void Mpi::waitall(std::vector<Request>& rs) {
   // Phase two polls only the residue, dropping requests as they complete
   // (swap-erase keeps each sweep proportional to what is actually left).
   bool steal_recorded = false;
+  hw::Waiter waiter;
   while (!incomplete.empty()) {
     const std::size_t events = progress(&steal_recorded);
     for (std::size_t i = 0; i < incomplete.size();) {
@@ -539,9 +521,7 @@ void Mpi::waitall(std::vector<Request>& rs) {
         ++i;
       }
     }
-    // Same stealing discipline as progress_until: keep draining while
-    // events flow, yield the core only when a pass came up empty.
-    if (!incomplete.empty() && events == 0) std::this_thread::yield();
+    if (!incomplete.empty()) waiter.step(events);
   }
   for (Request& r : rs) r.reset();
   rs.clear();
@@ -625,13 +605,12 @@ Request MpiEndpoint::isend(const void* buf, std::size_t bytes, int dest, int tag
   // never touches another endpoint's devices.
   if (sizeof(env) + bytes <= mpi_.world_.client_world().config().immediate_limit) {
     pami::Result r;
-    std::uint32_t tries = 0;
+    hw::Waiter waiter;
     while ((r = ctx.send_immediate(kMpiDispatchId, pdest, &env, sizeof(env), buf, bytes)) ==
            pami::Result::Eagain) {
+      // Backpressure: the peer has not drained its reception FIFO yet.
       ctx.advance_injection();
-      // Backpressure means the peer has not drained its reception FIFO;
-      // let its thread run rather than burning the rest of our quantum.
-      if ((++tries & 63) == 0) std::this_thread::yield();
+      waiter.pause();
     }
     if (r == pami::Result::Success) {
       impl_->obs.pvars.add(obs::Pvar::EpFastSends);
@@ -650,11 +629,8 @@ Request MpiEndpoint::isend(const void* buf, std::size_t bytes, int dest, int tag
   p.data = buf;
   p.data_bytes = bytes;
   p.on_local_done = [req] { req->finish(); };
-  std::uint32_t tries = 0;
-  while (ctx.send(p) == pami::Result::Eagain) {
-    ctx.advance();
-    if ((++tries & 63) == 0) std::this_thread::yield();
-  }
+  hw::Waiter waiter;
+  while (ctx.send(p) == pami::Result::Eagain) waiter.step(ctx.advance());
   return req;
 }
 
@@ -691,13 +667,15 @@ void MpiEndpoint::wait(Request& r, Status* status) {
   // a hashed context), lend a hand to the shared progress loop — that
   // path trylocks, so it is safe from a bound thread.
   std::uint32_t idle = 0;
+  hw::Waiter waiter;
   while (!r->done()) {
-    if (impl_->core.advance() > 0) {
+    const std::size_t events = impl_->core.advance();
+    if (events > 0) {
       idle = 0;
-    } else {
-      if ((++idle & 1023) == 0) mpi_.progress();
-      if ((idle & 255) == 0) std::this_thread::yield();
+    } else if ((++idle & 1023) == 0) {
+      mpi_.progress();
     }
+    waiter.step(events);
   }
   if (status != nullptr) *status = r->status;
   r.reset();

@@ -181,7 +181,7 @@ enum class Pvar : std::uint32_t {
   ConfigAmFlushUs,
   ConfigNetBackend,  // NetBackendKind as int: 0 functional, 1 des
   ConfigSimSeed,
-  ConfigCommSpinUs,  // commthread spin window (µs); 0 = legacy sweep loop
+  ConfigCommSpinUs,  // commthread spin window (µs); 0 = no window
   Count,
 };
 

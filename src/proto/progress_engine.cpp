@@ -313,14 +313,6 @@ void ProgressEngine::remove_device(Device* dev) {
   }
 }
 
-std::vector<const void*> ProgressEngine::wakeup_addresses() const {
-  std::vector<const void*> addrs;
-  for (const Device* d : devices_) {
-    if (const void* a = d->wakeup_address(); a != nullptr) addrs.push_back(a);
-  }
-  return addrs;
-}
-
 std::vector<std::pair<const void*, std::size_t>> ProgressEngine::wakeup_ranges() const {
   std::vector<std::pair<const void*, std::size_t>> ranges;
   for (const Device* d : devices_) {

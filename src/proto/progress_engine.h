@@ -112,12 +112,9 @@ class ProgressEngine {
   void complete_deferred_rdzv(std::uint64_t handle, void* buffer, std::size_t bytes,
                               pami::EventFn&& on_complete);
 
-  /// Producer-visible addresses of every wakeup-backed device, for the
-  /// commthread wakeup watch.
-  std::vector<const void*> wakeup_addresses() const;
-
-  /// The same addresses as (base, length) ranges — the WAC register image
-  /// of this one context. Commthreads program one watch per context from
+  /// Producer-visible addresses of every wakeup-backed device as (base,
+  /// length) ranges — the WAC register image of this one context.
+  /// Commthreads program one watch per context from
   /// this, so a wakeup-unit hit names the context that fired instead of
   /// forcing a sweep of every covered context.
   std::vector<std::pair<const void*, std::size_t>> wakeup_ranges() const;

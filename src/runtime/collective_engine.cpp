@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <type_traits>
 
 namespace pamix::runtime {
@@ -115,6 +114,7 @@ namespace {
 CollectiveNetworkEngine::Round& CollectiveNetworkEngine::lock_round(std::uint64_t round) {
   Round& r = slots_[round % kRoundSlots];
   acquire(r.mu);
+  hw::Waiter waiter;
   while (r.id != round) {
     if (r.reclaimed.load(std::memory_order_acquire)) {
       if (r.id != kNoRound && r.id > round) {
@@ -132,7 +132,7 @@ CollectiveNetworkEngine::Round& CollectiveNetworkEngine::lock_round(std::uint64_
     if (r.arrived < participants_) fail("more than 64 rounds in flight", round, r.id);
     // The previous occupant is complete and its hooks are running: wait.
     r.mu.unlock();
-    std::this_thread::yield();
+    waiter.pause();
     acquire(r.mu);
   }
   if (r.arrived == participants_) fail("contribution to an already-completed round", round, r.id);

@@ -89,12 +89,6 @@ Machine::Machine(hw::TorusGeometry geometry, int ppn, MachineOptions options)
                                                      /*want_ring=*/false);
   md.pvars.add(obs::Pvar::ConfigNetBackend, static_cast<std::uint64_t>(kind));
   if (kind == hw::NetBackendKind::Des) md.pvars.add(obs::Pvar::ConfigSimSeed, seed);
-  // Tell the spin loops whether the task threads will oversubscribe the
-  // host: more tasks than hardware threads means a waited-for peer is
-  // often not running, and waiters must yield instead of burning quanta.
-  const auto hc = std::thread::hardware_concurrency();
-  hw::oversubscribed_hint().store(hc == 0 || task_count() > static_cast<int>(hc),
-                                  std::memory_order_relaxed);
   nodes_.reserve(static_cast<std::size_t>(geom_.node_count()));
   for (int n = 0; n < geom_.node_count(); ++n) {
     nodes_.push_back(std::make_unique<Node>(n, backend_.get(), options_));

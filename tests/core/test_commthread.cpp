@@ -159,7 +159,6 @@ TEST_F(CommThreadTest, SleepTimeoutsStayZeroUnderLoad) {
 
 TEST_F(CommThreadTest, DoorbellFastWakesSleepingWorker) {
   CommThreadPool pool(world_.client(0), 1);
-  ASSERT_GT(pool.spin_us(), 0) << "doorbell only exists in adaptive mode";
   ASSERT_TRUE(eventually([&] { return pool.sleeps() > 0; }));
   // The ring is dropped unless the worker is between arm and wake, so keep
   // ringing until one lands while it is parked.
@@ -196,20 +195,33 @@ TEST_F(CommThreadTest, StealWindowMutesWatchAndReringsOnExit) {
   pool.stop();
 }
 
-TEST_F(CommThreadTest, SpinZeroSelectsLegacyController) {
+TEST_F(CommThreadTest, SpinZeroRunsAdaptiveEngineWithoutWindow) {
   ::setenv("PAMIX_COMM_SPIN_US", "0", 1);
   CommThreadPool pool(world_.client(0), 1);
   ::unsetenv("PAMIX_COMM_SPIN_US");
   EXPECT_EQ(pool.spin_us(), 0);
-  // The legacy loop still makes progress (it is the A/B before-arm)...
-  std::atomic<bool> ran{false};
-  world_.client(0).context(0).post([&] { ran.store(true); });
-  EXPECT_TRUE(eventually([&] { return ran.load(); }));
-  // ...and steal windows degrade to no-ops: no per-context watch exists.
   Context& ctx = world_.client(0).context(0);
+  // No window: an idle worker goes straight to sleep and never spins...
+  ASSERT_TRUE(eventually([&] { return pool.sleeps() > 0; }));
+  EXPECT_EQ(pool.spin_iters(), 0u);
+  // ...the doorbell exists and wakes it...
+  EXPECT_TRUE(eventually([&] {
+    pool.ring_doorbell(&ctx);
+    return pool.fast_wakes() > 0;
+  }));
+  // ...a steal window mutes the per-context watch (taken right after a
+  // fresh sleep starts, so the 50ms backstop cannot end it mid-check)...
+  const std::uint64_t slept = pool.sleeps();
+  ASSERT_TRUE(eventually([&] { return pool.sleeps() > slept; }));
   const std::uint64_t epoch = ctx.begin_steal();
-  EXPECT_EQ(epoch, 0u);
+  std::atomic<bool> ran{false};
+  ctx.post([&] { ran.store(true); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(ran.load());
+  // ...and posted work runs once the window closes.
   ctx.end_steal(epoch);
+  EXPECT_TRUE(eventually([&] { return ran.load(); }));
+  EXPECT_EQ(pool.sleep_timeouts(), 0u);
   pool.stop();
 }
 

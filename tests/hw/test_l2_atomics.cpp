@@ -1,8 +1,12 @@
 #include "hw/l2_atomics.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
+#include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace pamix::hw {
@@ -125,6 +129,125 @@ TEST(L2AtomicMutex, TryLockFailsWhenHeldAndSucceedsWhenFree) {
   mu.unlock();
   EXPECT_TRUE(mu.try_lock());
   mu.unlock();
+}
+
+// The spin budget is per thread, so each Waiter test runs on a fresh
+// thread: it starts from the initial budget and leaves no learned budget
+// behind for the other tests.
+template <class Fn>
+void on_fresh_thread(Fn&& fn) {
+  std::thread t(std::forward<Fn>(fn));
+  t.join();
+}
+
+/// Pin the calling thread to `cpu`; false if the host does not allow it.
+bool pin_to(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return cpu >= 0 && pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+}
+
+TEST(Waiter, SpinsForItsBudgetThenYieldsEveryPass) {
+  on_fresh_thread([] {
+    EXPECT_EQ(Waiter::budget(), Waiter::kMaxSpins);
+    Waiter w;
+    for (int i = 0; i < Waiter::kMaxSpins; ++i) ASSERT_FALSE(w.pause()) << "pass " << i;
+    for (int i = 0; i < 16; ++i) EXPECT_TRUE(w.pause());
+  });
+}
+
+TEST(Waiter, ResetRestartsTheBudget) {
+  on_fresh_thread([] {
+    Waiter w;
+    while (!w.pause()) {
+    }
+    w.reset();  // a yielding wait; the budget is re-tuned every few of them...
+    const int b = Waiter::budget();
+    EXPECT_TRUE(b == Waiter::kMaxSpins / 2 || b == Waiter::kMaxSpins) << b;
+    // ...and the next wait spins for all of it again before yielding.
+    for (int i = 0; i < b; ++i) ASSERT_FALSE(w.pause()) << "pass " << i;
+    EXPECT_TRUE(w.pause());
+  });
+}
+
+TEST(Waiter, ProductivePassesKeepTheWaiterSpinning) {
+  on_fresh_thread([] {
+    Waiter w;
+    for (int i = 0; i < 10 * Waiter::kMaxSpins; ++i) {
+      if (i % 8 == 7) {
+        w.step(1);  // every eighth pass does work
+      } else {
+        ASSERT_FALSE(w.pause()) << "pass " << i;
+      }
+    }
+    // Waits that end while spinning, or with no idle pass, teach nothing.
+    { Waiter idle; }
+    EXPECT_EQ(Waiter::budget(), Waiter::kMaxSpins);
+  });
+}
+
+TEST(Waiter, NextBudgetHalvesOnContentionAndDoublesOtherwise) {
+  EXPECT_EQ(Waiter::next_budget(Waiter::kMaxSpins, true), Waiter::kMaxSpins / 2);
+  EXPECT_EQ(Waiter::next_budget(1, true), 0);
+  EXPECT_EQ(Waiter::next_budget(0, true), 0);
+  EXPECT_EQ(Waiter::next_budget(0, false), 1);  // a zero budget can recover
+  EXPECT_EQ(Waiter::next_budget(3, false), 6);
+  EXPECT_EQ(Waiter::next_budget(Waiter::kMaxSpins, false), Waiter::kMaxSpins);
+  for (int b = 0; b <= Waiter::kMaxSpins; ++b) {
+    for (bool contended : {false, true}) {
+      const int n = Waiter::next_budget(b, contended);
+      EXPECT_GE(n, 0);
+      EXPECT_LE(n, Waiter::kMaxSpins);
+    }
+  }
+}
+
+TEST(Waiter, BudgetStaysWithinBoundsOverManyWaits) {
+  on_fresh_thread([] {
+    for (int wait = 0; wait < 40; ++wait) {
+      {
+        Waiter w;  // each wait ends, like reset(), when the Waiter goes
+        while (!w.pause()) {
+        }
+      }
+      EXPECT_GE(Waiter::budget(), 0);
+      EXPECT_LE(Waiter::budget(), Waiter::kMaxSpins);
+    }
+  });
+}
+
+TEST(Waiter, SharingOneCoreDrivesEachThreadsBudgetToZero) {
+  // Two threads pinned to one CPU take turns. Each waits for the other,
+  // which can only run once the waiter gives up the core, so every wait
+  // that reaches its yield sees another thread run and halves the budget.
+  bool pinned = true;
+  on_fresh_thread([&] {
+    if (!pin_to(sched_getcpu())) {
+      pinned = false;
+      return;
+    }
+    std::atomic<int> turn{0};
+    int budgets[2] = {-1, -1};
+    auto player = [&](int me) {
+      for (int round = 0; round < 200; ++round) {
+        Waiter w;
+        while (turn.load(std::memory_order_acquire) != me) w.pause();
+        turn.store(1 - me, std::memory_order_release);
+      }
+      budgets[me] = Waiter::budget();
+    };
+    std::thread other(player, 1);  // inherits the single-CPU affinity
+    player(0);
+    other.join();
+    EXPECT_EQ(budgets[0], 0);
+    EXPECT_EQ(budgets[1], 0);
+    // The budget is the thread's own: a new thread starts from the cap.
+    int fresh = 0;
+    on_fresh_thread([&] { fresh = Waiter::budget(); });
+    EXPECT_EQ(fresh, Waiter::kMaxSpins);
+  });
+  if (!pinned) GTEST_SKIP() << "host does not allow pinning a thread";
 }
 
 TEST(L2AtomicDomain, AllocatesDistinctWords) {

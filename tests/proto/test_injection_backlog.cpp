@@ -150,7 +150,9 @@ TEST(InjectionBacklog, CommthreadKeepsPollingBackloggedFifo) {
   // The sender is driven by a commthread; nothing it watches is written
   // when the receiver makes room, so only "backlog is not idle" keeps it
   // polling. A sleep here would end on the 50 ms backstop and count as a
-  // timeout.
+  // timeout — or, since the worker's own unlock re-rings the backlogged
+  // context's watch, fall straight through: a loop of arm-and-notify
+  // "sleeps" in place of a poll.
   TinyRecWorld w(/*rec_packets=*/4);
   w.count_on_rx();
   CommThreadPool pool(w.world.client(0), 1);
@@ -170,6 +172,9 @@ TEST(InjectionBacklog, CommthreadKeepsPollingBackloggedFifo) {
   EXPECT_EQ(w.delivered.load(), kSends);
   pool.stop();
   EXPECT_EQ(pool.sleep_timeouts(), 0u);
+  // A handful of real sleeps (before the first send, after the drain) at
+  // most; the backlog itself is polled, never slept on.
+  EXPECT_LT(pool.sleeps(), 64u);
 }
 
 TEST(IdleAdvance, ShmPacketStagedForSiblingIsNotIdle) {
